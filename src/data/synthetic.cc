@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_set>
 #include <vector>
 
 #include "geo/spatial_index.h"
@@ -14,12 +13,24 @@ namespace {
 
 constexpr double kHour = 3600.0;
 
+// The world and each user's anchors cache every weight that does not change
+// between draws. A cached weight is the same double the draw would compute,
+// and a cached total is summed in the same index order as
+// Rng::Categorical(weights), so the output is bit-identical to recomputing
+// them per draw (SyntheticTest.OutputPinned, DESIGN.md §2).
 struct World {
   std::vector<geo::GeoPoint> cluster_centers;
-  std::vector<int64_t> poi_cluster;       // cluster of each POI (1-based ids)
-  std::vector<double> poi_popularity;     // unnormalised weight per POI
-  std::vector<std::vector<int64_t>> cluster_pois;
+  /// popularity^popularity_weight of POI p at index p - 1, and its sum in
+  /// index order: the weights of a popularity draw over all POIs.
+  std::vector<double> poi_weight;
+  double poi_weight_total = 0.0;
 };
+
+double Sum(const std::vector<double>& w) {
+  double total = 0.0;
+  for (double x : w) total += x;
+  return total;
+}
 
 World BuildWorld(const SyntheticConfig& cfg, Rng& rng,
                  std::vector<geo::GeoPoint>* poi_coords) {
@@ -36,68 +47,66 @@ World BuildWorld(const SyntheticConfig& cfg, Rng& rng,
   // not correlated with id order).
   poi_coords->clear();
   poi_coords->push_back({});  // padding POI 0
-  world.poi_cluster.assign(static_cast<size_t>(cfg.num_pois) + 1, 0);
-  world.poi_popularity.assign(static_cast<size_t>(cfg.num_pois) + 1, 0.0);
-  world.cluster_pois.resize(static_cast<size_t>(cfg.num_clusters));
+  world.poi_weight.resize(static_cast<size_t>(cfg.num_pois));
   std::vector<int64_t> rank(static_cast<size_t>(cfg.num_pois));
   for (size_t i = 0; i < rank.size(); ++i) rank[i] = static_cast<int64_t>(i);
   rng.Shuffle(rank);
+  const size_t num_clusters = static_cast<size_t>(cfg.num_clusters);
+  const bool zipf_table =
+      Rng::ZipfDrawsFromTable(num_clusters, cfg.cluster_zipf_alpha);
+  const std::vector<double> cluster_weight =
+      zipf_table ? Rng::ZipfWeights(num_clusters, cfg.cluster_zipf_alpha)
+                 : std::vector<double>{};
+  const double cluster_total = Sum(cluster_weight);
   for (int64_t p = 1; p <= cfg.num_pois; ++p) {
-    const size_t cluster = rng.Zipf(
-        static_cast<size_t>(cfg.num_clusters), cfg.cluster_zipf_alpha);
+    const size_t cluster =
+        zipf_table ? rng.Categorical(cluster_weight, cluster_total)
+                   : rng.Zipf(num_clusters, cfg.cluster_zipf_alpha);
     const geo::GeoPoint center = world.cluster_centers[cluster];
     poi_coords->push_back(geo::OffsetKm(
         center, rng.Normal(0.0, cfg.cluster_radius_km),
         rng.Normal(0.0, cfg.cluster_radius_km)));
-    world.poi_cluster[static_cast<size_t>(p)] = static_cast<int64_t>(cluster);
-    world.cluster_pois[cluster].push_back(p);
-    world.poi_popularity[static_cast<size_t>(p)] = std::pow(
+    const double popularity = std::pow(
         double(rank[static_cast<size_t>(p - 1)] + 1), -cfg.poi_zipf_alpha);
+    world.poi_weight[static_cast<size_t>(p - 1)] =
+        std::pow(popularity, cfg.popularity_weight);
   }
+  world.poi_weight_total = Sum(world.poi_weight);
   return world;
 }
 
-// Samples a POI id from `candidates` weighted by popularity^exponent.
-int64_t SampleByPopularity(const std::vector<int64_t>& candidates,
-                           const World& world, double exponent, Rng& rng) {
-  STISAN_CHECK(!candidates.empty());
-  std::vector<double> w(candidates.size());
-  for (size_t i = 0; i < candidates.size(); ++i)
-    w[i] = std::pow(world.poi_popularity[static_cast<size_t>(candidates[i])],
-                    exponent);
-  return candidates[rng.Categorical(w)];
+// Samples a POI id from all POIs weighted by popularity^popularity_weight.
+int64_t SampleByPopularity(const World& world, Rng& rng) {
+  const size_t i = rng.Categorical(world.poi_weight, world.poi_weight_total);
+  return static_cast<int64_t>(i) + 1;
 }
 
-// Samples weighted by popularity^exponent x exp(-distance / decay_km),
-// optionally x exp(momentum * cos(angle between the previous move direction
-// and the move to the candidate)).
-int64_t SampleByPopularityAndDistance(const std::vector<int64_t>& candidates,
-                                      const World& world,
-                                      const std::vector<geo::GeoPoint>& coords,
-                                      const geo::GeoPoint& origin,
-                                      double decay_km, double exponent,
-                                      Rng& rng,
-                                      const geo::GeoPoint* previous = nullptr,
-                                      double momentum = 0.0) {
-  STISAN_CHECK(!candidates.empty());
+// Fills `w` with the move weights of index candidates `ids` (POI id - 1) at
+// distances `dist_km` from `origin`: popularity^popularity_weight x
+// exp(-distance / decay_km), optionally x exp(momentum * cos(angle between
+// the previous move direction and the move to the candidate)).
+void MoveWeights(const World& world, const geo::SpatialGridIndex& index,
+                 const std::vector<int64_t>& ids,
+                 const std::vector<double>& dist_km,
+                 const geo::GeoPoint& origin, double decay_km,
+                 std::vector<double>* w,
+                 const geo::GeoPoint* previous = nullptr,
+                 double momentum = 0.0) {
   // Previous move direction (km offsets), if meaningful.
+  const double cos_lat = std::cos(origin.lat * M_PI / 180.0);
   double dir_x = 0.0, dir_y = 0.0, dir_norm = 0.0;
   if (previous != nullptr && momentum > 0.0) {
     dir_y = origin.lat - previous->lat;
-    dir_x = (origin.lon - previous->lon) *
-            std::cos(origin.lat * M_PI / 180.0);
+    dir_x = (origin.lon - previous->lon) * cos_lat;
     dir_norm = std::sqrt(dir_x * dir_x + dir_y * dir_y);
   }
-  std::vector<double> w(candidates.size());
-  for (size_t i = 0; i < candidates.size(); ++i) {
-    const auto& c = coords[static_cast<size_t>(candidates[i])];
-    const double dist = geo::HaversineKm(origin, c);
-    double weight =
-        std::pow(world.poi_popularity[static_cast<size_t>(candidates[i])],
-                 exponent) *
-        std::exp(-dist / decay_km);
+  w->resize(ids.size());
+  for (size_t i = 0; i < ids.size(); ++i) {
+    double weight = world.poi_weight[static_cast<size_t>(ids[i])] *
+                    std::exp(-dist_km[i] / decay_km);
     if (dir_norm > 1e-9) {
-      double mx = (c.lon - origin.lon) * std::cos(origin.lat * M_PI / 180.0);
+      const auto& c = index.point(ids[i]);
+      double mx = (c.lon - origin.lon) * cos_lat;
       double my = c.lat - origin.lat;
       const double mnorm = std::sqrt(mx * mx + my * my);
       if (mnorm > 1e-9) {
@@ -106,10 +115,17 @@ int64_t SampleByPopularityAndDistance(const std::vector<int64_t>& candidates,
         weight *= std::exp(momentum * cosine);
       }
     }
-    w[i] = weight;
+    (*w)[i] = weight;
   }
-  return candidates[rng.Categorical(w)];
 }
+
+// An anchor region's POI pool (index ids) with its move weights, which are
+// fixed for the user, and their sum.
+struct Anchor {
+  std::vector<int64_t> pool;
+  std::vector<double> pool_weight;
+  double pool_total = 0.0;
+};
 
 }  // namespace
 
@@ -128,9 +144,11 @@ Dataset GenerateSynthetic(const SyntheticConfig& cfg) {
                                          ds.poi_coords.end());
   geo::SpatialGridIndex index(real_coords, /*cell_km=*/2.0);
 
-  std::vector<int64_t> all_pois(static_cast<size_t>(cfg.num_pois));
-  for (int64_t p = 1; p <= cfg.num_pois; ++p)
-    all_pois[static_cast<size_t>(p - 1)] = p;
+  // Scratch reused across users and draws.
+  std::vector<Anchor> anchors;
+  std::vector<int64_t> near_ids;
+  std::vector<double> dist_km;
+  std::vector<double> near_weight;
 
   ds.user_seqs.resize(static_cast<size_t>(cfg.num_users));
   for (int64_t u = 0; u < cfg.num_users; ++u) {
@@ -139,28 +157,37 @@ Dataset GenerateSynthetic(const SyntheticConfig& cfg) {
     // frequents. Anchor weights decay geometrically (home dominates).
     const int64_t num_anchors =
         std::min<int64_t>(cfg.anchors, cfg.num_clusters);
-    std::vector<geo::GeoPoint> anchor_centers;
-    std::vector<std::vector<int64_t>> anchor_pools;
+    anchors.resize(static_cast<size_t>(num_anchors));
     std::vector<double> anchor_weights;
     for (int64_t a = 0; a < num_anchors; ++a) {
       const size_t cluster =
           user_rng.UniformInt(static_cast<uint64_t>(cfg.num_clusters));
       const geo::GeoPoint center = world.cluster_centers[cluster];
-      auto pool_ids = index.WithinRadius(center, cfg.anchor_radius_km);
-      std::vector<int64_t> pool;
-      pool.reserve(pool_ids.size());
-      for (int64_t id : pool_ids) pool.push_back(id + 1);
-      if (pool.empty()) pool = all_pois;
-      anchor_centers.push_back(center);
-      anchor_pools.push_back(std::move(pool));
+      Anchor& anchor = anchors[static_cast<size_t>(a)];
+      index.WithinRadiusInto(center, cfg.anchor_radius_km, &anchor.pool,
+                             &dist_km);
+      if (anchor.pool.empty()) {  // no POI near the centre: every POI
+        for (int64_t id = 0; id < index.size(); ++id) {
+          anchor.pool.push_back(id);
+          dist_km.push_back(geo::HaversineKm(center, index.point(id)));
+        }
+      }
+      MoveWeights(world, index, anchor.pool, dist_km, center,
+                  cfg.anchor_decay_km, &anchor.pool_weight);
+      anchor.pool_total = Sum(anchor.pool_weight);
       anchor_weights.push_back(std::pow(0.45, double(a)));
     }
+    // Samples a POI of anchor `a`'s pool by its move weight.
+    const auto sample_anchor = [&](size_t a) {
+      const Anchor& anchor = anchors[a];
+      const size_t i =
+          user_rng.Categorical(anchor.pool_weight, anchor.pool_total);
+      return anchor.pool[i] + 1;
+    };
     // Personal favourites: habitual POIs near the home anchor.
     std::vector<int64_t> favorites;
     for (int64_t f = 0; f < cfg.favorites; ++f) {
-      favorites.push_back(SampleByPopularityAndDistance(
-          anchor_pools[0], world, ds.poi_coords, anchor_centers[0],
-          cfg.anchor_decay_km, cfg.popularity_weight, user_rng));
+      favorites.push_back(sample_anchor(0));
     }
 
     const int64_t length = user_rng.UniformInt(cfg.min_checkins,
@@ -181,7 +208,7 @@ Dataset GenerateSynthetic(const SyntheticConfig& cfg) {
         static_cast<uint64_t>(favorites.size()))];
     int64_t previous = 0;  // padding = no previous move yet
     size_t routine_position =
-        user_rng.UniformInt(static_cast<uint64_t>(anchor_centers.size()));
+        user_rng.UniformInt(static_cast<uint64_t>(anchors.size()));
     seq.push_back({current, t});
 
     while (static_cast<int64_t>(seq.size()) < length) {
@@ -197,29 +224,25 @@ Dataset GenerateSynthetic(const SyntheticConfig& cfg) {
         int64_t next;
         if (user_rng.Bernoulli(cfg.p_nearby_after_short_gap)) {
           const auto& origin = ds.poi_coords[static_cast<size_t>(current)];
-          auto near_ids = index.WithinRadius(origin, cfg.nearby_radius_km);
+          index.WithinRadiusInto(origin, cfg.nearby_radius_km, &near_ids,
+                                 &dist_km);
           if (near_ids.empty()) {
-            next = SampleByPopularity(all_pois, world, cfg.popularity_weight,
-                                      user_rng);
+            next = SampleByPopularity(world, user_rng);
           } else {
-            std::vector<int64_t> near_pois(near_ids.size());
-            for (size_t k = 0; k < near_ids.size(); ++k)
-              near_pois[k] = near_ids[k] + 1;
             const geo::GeoPoint* prev_loc =
                 previous != 0
                     ? &ds.poi_coords[static_cast<size_t>(previous)]
                     : nullptr;
-            next = SampleByPopularityAndDistance(
-                near_pois, world, ds.poi_coords, origin,
-                cfg.distance_decay_km, cfg.popularity_weight, user_rng,
-                prev_loc, cfg.momentum);
+            MoveWeights(world, index, near_ids, dist_km, origin,
+                        cfg.distance_decay_km, &near_weight, prev_loc,
+                        cfg.momentum);
+            next = near_ids[user_rng.Categorical(near_weight)] + 1;
           }
         } else if (user_rng.Bernoulli(cfg.p_favorite)) {
           next = favorites[user_rng.UniformInt(
               static_cast<uint64_t>(favorites.size()))];
         } else {
-          next = SampleByPopularity(all_pois, world, cfg.popularity_weight,
-                                    user_rng);
+          next = SampleByPopularity(world, user_rng);
         }
         seq.push_back({next, t});
         previous = current;
@@ -237,17 +260,13 @@ Dataset GenerateSynthetic(const SyntheticConfig& cfg) {
         // Personal routine: usually the next anchor in the cycle, sometimes
         // a weight-sampled one.
         if (user_rng.Bernoulli(cfg.p_cycle_anchor)) {
-          routine_position = (routine_position + 1) % anchor_centers.size();
+          routine_position = (routine_position + 1) % anchors.size();
         } else {
           routine_position = user_rng.Categorical(anchor_weights);
         }
-        const size_t a = routine_position;
-        next = SampleByPopularityAndDistance(
-            anchor_pools[a], world, ds.poi_coords, anchor_centers[a],
-            cfg.anchor_decay_km, cfg.popularity_weight, user_rng);
+        next = sample_anchor(routine_position);
       } else {
-        next = SampleByPopularity(all_pois, world, cfg.popularity_weight,
-                                  user_rng);
+        next = SampleByPopularity(world, user_rng);
       }
       seq.push_back({next, t});
       previous = 0;  // a long gap resets the movement direction

@@ -16,7 +16,8 @@
 //    baselines.
 //
 // Everything is driven by a seeded Rng: identical configs reproduce
-// identical datasets bit-for-bit.
+// identical datasets bit-for-bit. The preset outputs are pinned by
+// SyntheticTest.OutputPinned (DESIGN.md §2).
 
 #pragma once
 

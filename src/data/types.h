@@ -19,6 +19,8 @@ inline constexpr int64_t kPaddingPoi = 0;
 struct Visit {
   int64_t poi = kPaddingPoi;
   double timestamp = 0.0;  // seconds since epoch
+
+  bool operator==(const Visit&) const = default;
 };
 
 /// Aggregate statistics matching the paper's Table II.

@@ -198,8 +198,10 @@ std::vector<int64_t> SpatialGridIndex::WithinRadius(
 
 void SpatialGridIndex::WithinRadiusInto(const GeoPoint& query,
                                         double radius_km,
-                                        std::vector<int64_t>* out) const {
+                                        std::vector<int64_t>* out,
+                                        std::vector<double>* dist_km) const {
   out->clear();
+  if (dist_km != nullptr) dist_km->clear();
   if (points_.empty()) return;
   // Cells are cell_km tall in latitude by construction; their longitudinal
   // width in km narrows toward the poles — size the scan with the minimum
@@ -224,9 +226,10 @@ void SpatialGridIndex::WithinRadiusInto(const GeoPoint& query,
          c <= std::min(cols_ - 1, qc + ring_lon); ++c) {
       const CellSpan span = Cell(r, c);
       for (const int64_t* it = span.begin; it != span.end; ++it) {
-        if (HaversineKm(query, points_[static_cast<size_t>(*it)]) <=
-            radius_km) {
+        const double d = HaversineKm(query, points_[static_cast<size_t>(*it)]);
+        if (d <= radius_km) {
           out->push_back(*it);
+          if (dist_km != nullptr) dist_km->push_back(d);
         }
       }
     }

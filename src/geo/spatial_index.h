@@ -57,8 +57,11 @@ class SpatialGridIndex {
                                     double radius_km) const;
 
   /// WithinRadius into a caller-owned buffer (`out` is cleared first).
+  /// When `dist_km` is non-null it is cleared and filled in parallel with
+  /// `out`: entry i is HaversineKm(query, point(out[i])), bit for bit.
   void WithinRadiusInto(const GeoPoint& query, double radius_km,
-                        std::vector<int64_t>* out) const;
+                        std::vector<int64_t>* out,
+                        std::vector<double>* dist_km = nullptr) const;
 
   int64_t size() const { return static_cast<int64_t>(points_.size()); }
   const GeoPoint& point(int64_t id) const {

@@ -95,6 +95,10 @@ size_t Rng::Categorical(const std::vector<double>& weights) {
     STISAN_CHECK_GE(w, 0.0);
     total += w;
   }
+  return Categorical(weights, total);
+}
+
+size_t Rng::Categorical(const std::vector<double>& weights, double total) {
   STISAN_CHECK_GT(total, 0.0);
   double r = Uniform() * total;
   for (size_t i = 0; i < weights.size(); ++i) {
@@ -104,18 +108,17 @@ size_t Rng::Categorical(const std::vector<double>& weights) {
   return weights.size() - 1;
 }
 
+std::vector<double> Rng::ZipfWeights(size_t n, double alpha) {
+  std::vector<double> w(n);
+  for (size_t i = 0; i < n; ++i)
+    w[i] = std::pow(static_cast<double>(i + 1), -alpha);
+  return w;
+}
+
 size_t Rng::Zipf(size_t n, double alpha) {
   STISAN_CHECK_GT(n, 0u);
-  // Inverse-CDF on the fly would be O(n); use rejection-free cumulative
-  // search with cached normaliser for small n, or approximate for large n
-  // via the standard Zipf rejection method.
-  if (n <= 4096) {
-    std::vector<double> w(n);
-    for (size_t i = 0; i < n; ++i)
-      w[i] = std::pow(static_cast<double>(i + 1), -alpha);
-    return Categorical(w);
-  }
-  // Rejection sampling (Devroye) for large n.
+  if (ZipfDrawsFromTable(n, alpha)) return Categorical(ZipfWeights(n, alpha));
+  // Rejection sampling (Devroye) for large n; valid only for alpha > 1.
   const double b = std::pow(2.0, alpha - 1.0);
   for (;;) {
     const double u = Uniform();

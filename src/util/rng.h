@@ -53,8 +53,25 @@ class Rng {
   /// Requires at least one strictly positive weight.
   size_t Categorical(const std::vector<double>& weights);
 
+  /// Categorical with a precomputed `total`, for weights drawn from many
+  /// times. Draws exactly what Categorical(weights) draws when `total` is
+  /// the sum of `weights` accumulated in index order from 0.0. Requires
+  /// total > 0; the weights themselves are not re-validated.
+  size_t Categorical(const std::vector<double>& weights, double total);
+
   /// Returns a power-law (Zipf-like) index in [0, n): P(i) ~ (i+1)^-alpha.
+  /// Draws exactly Categorical(ZipfWeights(n, alpha)) when
+  /// ZipfDrawsFromTable(n, alpha); otherwise uses rejection sampling.
   size_t Zipf(size_t n, double alpha);
+
+  /// Whether Zipf(n, alpha) samples the exact weight table. Rejection
+  /// sampling needs alpha > 1, so alpha <= 1 takes the table at any n.
+  static bool ZipfDrawsFromTable(size_t n, double alpha) {
+    return n <= 4096 || alpha <= 1.0;
+  }
+
+  /// The Zipf weight table: entry i is (i+1)^-alpha.
+  static std::vector<double> ZipfWeights(size_t n, double alpha);
 
   /// Shuffles a vector in place (Fisher-Yates).
   template <typename T>

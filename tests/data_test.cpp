@@ -3,12 +3,14 @@
 #include <cstdio>
 #include <set>
 #include <unordered_set>
+#include <utility>
 
 #include "data/csv_loader.h"
 #include "data/preprocess.h"
 #include "data/synthetic.h"
 #include "data/types.h"
 #include "geo/geo.h"
+#include "util/crc32.h"
 
 namespace stisan::data {
 namespace {
@@ -166,10 +168,44 @@ TEST(SyntheticTest, DeterministicForSeed) {
   auto cfg = GowallaLikeConfig(0.05);
   auto a = GenerateSynthetic(cfg);
   auto b = GenerateSynthetic(cfg);
-  ASSERT_EQ(a.num_users(), b.num_users());
-  ASSERT_EQ(a.num_checkins(), b.num_checkins());
-  EXPECT_EQ(a.user_seqs[0][0].poi, b.user_seqs[0][0].poi);
-  EXPECT_EQ(a.user_seqs[0].back().timestamp, b.user_seqs[0].back().timestamp);
+  EXPECT_EQ(a.name, b.name);
+  EXPECT_EQ(a.poi_coords, b.poi_coords);
+  EXPECT_EQ(a.user_seqs, b.user_seqs);
+}
+
+// CRC-32 over every POI coordinate and every (poi, timestamp) check-in.
+uint32_t DatasetCrc(const Dataset& ds) {
+  uint32_t crc = 0;
+  for (const auto& p : ds.poi_coords) {
+    crc = Crc32Extend(crc, &p.lat, sizeof(p.lat));
+    crc = Crc32Extend(crc, &p.lon, sizeof(p.lon));
+  }
+  for (const auto& seq : ds.user_seqs) {
+    for (const auto& v : seq) {
+      crc = Crc32Extend(crc, &v.poi, sizeof(v.poi));
+      crc = Crc32Extend(crc, &v.timestamp, sizeof(v.timestamp));
+    }
+  }
+  return crc;
+}
+
+// The generator's output is a pinned artifact (DESIGN.md §2): golden metrics
+// and benchmark quality metrics are computed on it, so any change to the
+// generator must reproduce these datasets bit for bit.
+TEST(SyntheticTest, OutputPinned) {
+  const std::pair<SyntheticConfig, uint32_t> pinned[] = {
+      {GowallaLikeConfig(1.0), 0x8dd4d288u},
+      {BrightkiteLikeConfig(1.0), 0xbd1c8063u},
+      {WeeplacesLikeConfig(1.0), 0x7c4ed1fau},
+      {ChangchunLikeConfig(1.0), 0x7eb8adbbu},
+      {MetroScaleConfig(0.2), 0x824db821u},
+  };
+  for (const auto& [cfg, crc] : pinned) {
+    const Dataset ds = GenerateSynthetic(cfg);
+    EXPECT_EQ(DatasetCrc(ds), crc)
+        << cfg.name << ": " << ds.num_pois() << " POIs, "
+        << ds.num_checkins() << " check-ins";
+  }
 }
 
 TEST(SyntheticTest, ChronologicalAndInRange) {

@@ -220,6 +220,33 @@ TEST(RadiusPropertyTest, MatchesBruteForceOverFuzzedSets) {
   }
 }
 
+TEST(RadiusPropertyTest, DistanceOutputMatchesHaversine) {
+  // The optional dist_km output must not change the ids, and each distance
+  // must be bit-equal to HaversineKm(query, point): the synthetic generator
+  // weights candidates by these distances.
+  for (int config = 0; config < 4; ++config) {
+    Rng rng(91 + static_cast<uint64_t>(config));
+    const auto pts = MakePoints(config, rng);
+    SpatialGridIndex index(pts, 1.5);
+    std::vector<int64_t> plain, ids;
+    std::vector<double> dist = {-1.0};  // stale contents must be cleared
+    for (int qi = 0; qi < 5; ++qi) {
+      const GeoPoint q =
+          pts[rng.UniformInt(static_cast<uint64_t>(pts.size()))];
+      for (double r : {0.3, 2.0, 15.0}) {
+        index.WithinRadiusInto(q, r, &plain);
+        index.WithinRadiusInto(q, r, &ids, &dist);
+        EXPECT_EQ(ids, plain) << "config=" << config << " r=" << r;
+        ASSERT_EQ(dist.size(), ids.size());
+        for (size_t i = 0; i < ids.size(); ++i) {
+          EXPECT_EQ(dist[i],
+                    HaversineKm(q, pts[static_cast<size_t>(ids[i])]));
+        }
+      }
+    }
+  }
+}
+
 TEST(RadiusPropertyTest, PolarLatitudesDoNotUnderScan) {
   // Beyond ~87deg the former implementation clamped cos(lat) to 0.05 when
   // sizing the column scan, which under-scanned and could drop points.

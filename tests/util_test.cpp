@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <set>
@@ -160,6 +161,54 @@ TEST(RngTest, ZipfIsSkewed) {
     if (rng.Zipf(100, 1.2) == 0) ++first;
   // Rank 0 must dominate a uniform draw (~1%).
   EXPECT_GT(first, n / 20);
+}
+
+TEST(RngTest, CategoricalWithTotalMatchesSummingOverload) {
+  // Seeded random weight vectors, some with zeros, some with a single
+  // positive weight: the precomputed-total overload must draw the same
+  // index sequence as Categorical(weights).
+  Rng gen(37);
+  for (int trial = 0; trial < 60; ++trial) {
+    const size_t n = 1 + gen.UniformInt(uint64_t{40});
+    std::vector<double> w(n);
+    for (auto& x : w) x = gen.Bernoulli(0.3) ? 0.0 : 10.0 * gen.Uniform();
+    if (trial % 4 == 0) {
+      std::fill(w.begin(), w.end(), 0.0);
+      w[gen.UniformInt(static_cast<uint64_t>(n))] = 0.1 + gen.Uniform();
+    }
+    double total = 0.0;
+    for (double x : w) total += x;
+    if (total == 0.0) continue;  // both overloads require a positive weight
+    Rng a(100 + static_cast<uint64_t>(trial));
+    Rng b(100 + static_cast<uint64_t>(trial));
+    for (int i = 0; i < 200; ++i) {
+      ASSERT_EQ(a.Categorical(w), b.Categorical(w, total))
+          << "trial=" << trial << " draw=" << i;
+    }
+  }
+}
+
+TEST(RngTest, ZipfAtMostUnitAlphaAboveTableSizeTerminates) {
+  // Rejection sampling needs alpha > 1: for alpha < 1 every candidate falls
+  // below 1 and for alpha = 1 the exponent is -inf, so Zipf(5000, alpha)
+  // used to spin forever. It now draws from the exact weight table.
+  const size_t n = 5000;
+  EXPECT_FALSE(Rng::ZipfDrawsFromTable(n, 1.2));
+  for (double alpha : {0.8, 1.0}) {
+    ASSERT_TRUE(Rng::ZipfDrawsFromTable(n, alpha));
+    const auto table = Rng::ZipfWeights(n, alpha);
+    Rng a(41), b(41);
+    int first = 0;
+    const int draws = 2000;
+    for (int i = 0; i < draws; ++i) {
+      const size_t z = a.Zipf(n, alpha);
+      ASSERT_LT(z, n);
+      ASSERT_EQ(z, b.Categorical(table)) << "alpha=" << alpha;
+      first += z == 0;
+    }
+    // Rank 0 must dominate a uniform draw (1 / 5000).
+    EXPECT_GT(first, draws / 100) << "alpha=" << alpha;
+  }
 }
 
 TEST(RngTest, ShufflePreservesElements) {
