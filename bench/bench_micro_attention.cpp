@@ -12,10 +12,10 @@
 // forwards can be compared from one binary.
 
 // The *Lowering* benchmarks compare the composed per-op attention path
-// (STISAN_FUSED_ATTENTION=0) against the fused one-node lowering, forward
-// and forward+backward, at (n, heads). BM_AttentionOp* measure the raw op
-// chain without the q/k/v projection GEMMs so the fusion speedup is not
-// diluted; the checked-in BENCH_attention.json captures one JSON run.
+// (ops::SetFusedAttentionEnabled(0)) against the fused one-node lowering,
+// forward and forward+backward, at (n, heads). BM_AttentionOp* measure the
+// raw op chain without the q/k/v projection GEMMs so the fusion speedup is
+// not diluted; the checked-in BENCH_attention.json captures one JSON run.
 
 // The *Inference* benchmarks compare serving-mode forwards (no grad
 // recording, fused lowering) across the three scoring backends: fp32 on
@@ -68,22 +68,22 @@ void RunBlock(benchmark::State& state, AttentionMode mode, bool backward) {
 void BM_SaBlockForward(benchmark::State& state) {
   RunBlock(state, AttentionMode::kVanilla, false);
 }
-BENCHMARK(BM_SaBlockForward)->Arg(32)->Arg(64)->Arg(128);
+BENCHMARK(BM_SaBlockForward)->UseRealTime()->Arg(32)->Arg(64)->Arg(128);
 
 void BM_IaabBlockForward(benchmark::State& state) {
   RunBlock(state, AttentionMode::kIntervalAware, false);
 }
-BENCHMARK(BM_IaabBlockForward)->Arg(32)->Arg(64)->Arg(128);
+BENCHMARK(BM_IaabBlockForward)->UseRealTime()->Arg(32)->Arg(64)->Arg(128);
 
 void BM_SaBlockTrainStep(benchmark::State& state) {
   RunBlock(state, AttentionMode::kVanilla, true);
 }
-BENCHMARK(BM_SaBlockTrainStep)->Arg(32)->Arg(64);
+BENCHMARK(BM_SaBlockTrainStep)->UseRealTime()->Arg(32)->Arg(64);
 
 void BM_IaabBlockTrainStep(benchmark::State& state) {
   RunBlock(state, AttentionMode::kIntervalAware, true);
 }
-BENCHMARK(BM_IaabBlockTrainStep)->Arg(32)->Arg(64);
+BENCHMARK(BM_IaabBlockTrainStep)->UseRealTime()->Arg(32)->Arg(64);
 
 // STiSAN trunk (2-block interval-aware encoder, d=32) at the paper's
 // sequence length n=100, serial vs threaded.
@@ -111,7 +111,7 @@ void RunEncoderThreads(benchmark::State& state, bool backward) {
 void BM_StisanEncoderForwardThreads(benchmark::State& state) {
   RunEncoderThreads(state, false);
 }
-BENCHMARK(BM_StisanEncoderForwardThreads)
+BENCHMARK(BM_StisanEncoderForwardThreads)->UseRealTime()
     ->Args({100, 1})
     ->Args({100, 2})
     ->Args({100, 0});
@@ -119,7 +119,9 @@ BENCHMARK(BM_StisanEncoderForwardThreads)
 void BM_StisanEncoderTrainStepThreads(benchmark::State& state) {
   RunEncoderThreads(state, true);
 }
-BENCHMARK(BM_StisanEncoderTrainStepThreads)->Args({100, 1})->Args({100, 0});
+BENCHMARK(BM_StisanEncoderTrainStepThreads)
+    ->UseRealTime()
+    ->Args({100, 1})->Args({100, 0});
 
 // Composed-vs-fused lowering of a full CausalSelfAttention module
 // (projections + attention core) at (n, heads), d=32.
@@ -150,22 +152,22 @@ void RunLowering(benchmark::State& state, bool fused, bool backward) {
 void BM_ComposedAttentionForward(benchmark::State& state) {
   RunLowering(state, /*fused=*/false, /*backward=*/false);
 }
-BENCHMARK(BM_ComposedAttentionForward) STISAN_LOWERING_ARGS;
+BENCHMARK(BM_ComposedAttentionForward)->UseRealTime() STISAN_LOWERING_ARGS;
 
 void BM_FusedAttentionForward(benchmark::State& state) {
   RunLowering(state, /*fused=*/true, /*backward=*/false);
 }
-BENCHMARK(BM_FusedAttentionForward) STISAN_LOWERING_ARGS;
+BENCHMARK(BM_FusedAttentionForward)->UseRealTime() STISAN_LOWERING_ARGS;
 
 void BM_ComposedAttentionTrainStep(benchmark::State& state) {
   RunLowering(state, /*fused=*/false, /*backward=*/true);
 }
-BENCHMARK(BM_ComposedAttentionTrainStep) STISAN_LOWERING_ARGS;
+BENCHMARK(BM_ComposedAttentionTrainStep)->UseRealTime() STISAN_LOWERING_ARGS;
 
 void BM_FusedAttentionTrainStep(benchmark::State& state) {
   RunLowering(state, /*fused=*/true, /*backward=*/true);
 }
-BENCHMARK(BM_FusedAttentionTrainStep) STISAN_LOWERING_ARGS;
+BENCHMARK(BM_FusedAttentionTrainStep)->UseRealTime() STISAN_LOWERING_ARGS;
 
 // Raw attention core softmax(qkᵀ·scale + mask + bias)v without the
 // projection GEMMs: the composed op chain exactly as HeadAttention builds
@@ -200,22 +202,30 @@ void RunAttentionOp(benchmark::State& state, bool fused, bool backward) {
 void BM_AttentionOpComposedForward(benchmark::State& state) {
   RunAttentionOp(state, /*fused=*/false, /*backward=*/false);
 }
-BENCHMARK(BM_AttentionOpComposedForward)->Arg(32)->Arg(64)->Arg(128);
+BENCHMARK(BM_AttentionOpComposedForward)
+    ->UseRealTime()
+    ->Arg(32)->Arg(64)->Arg(128);
 
 void BM_AttentionOpFusedForward(benchmark::State& state) {
   RunAttentionOp(state, /*fused=*/true, /*backward=*/false);
 }
-BENCHMARK(BM_AttentionOpFusedForward)->Arg(32)->Arg(64)->Arg(128);
+BENCHMARK(BM_AttentionOpFusedForward)
+    ->UseRealTime()
+    ->Arg(32)->Arg(64)->Arg(128);
 
 void BM_AttentionOpComposedTrainStep(benchmark::State& state) {
   RunAttentionOp(state, /*fused=*/false, /*backward=*/true);
 }
-BENCHMARK(BM_AttentionOpComposedTrainStep)->Arg(32)->Arg(64)->Arg(128);
+BENCHMARK(BM_AttentionOpComposedTrainStep)
+    ->UseRealTime()
+    ->Arg(32)->Arg(64)->Arg(128);
 
 void BM_AttentionOpFusedTrainStep(benchmark::State& state) {
   RunAttentionOp(state, /*fused=*/true, /*backward=*/true);
 }
-BENCHMARK(BM_AttentionOpFusedTrainStep)->Arg(32)->Arg(64)->Arg(128);
+BENCHMARK(BM_AttentionOpFusedTrainStep)
+    ->UseRealTime()
+    ->Arg(32)->Arg(64)->Arg(128);
 
 // Serving-mode CausalSelfAttention forward (projections + fused core,
 // no grad recording) on the scalar fp32, SIMD fp32 and int8 backends.
@@ -248,17 +258,23 @@ void RunInferenceBackend(benchmark::State& state, int simd_mode, bool int8) {
 void BM_InferenceAttentionFp32Scalar(benchmark::State& state) {
   RunInferenceBackend(state, /*simd_mode=*/0, /*int8=*/false);
 }
-BENCHMARK(BM_InferenceAttentionFp32Scalar)->Arg(32)->Arg(100)->Arg(128);
+BENCHMARK(BM_InferenceAttentionFp32Scalar)
+    ->UseRealTime()
+    ->Arg(32)->Arg(100)->Arg(128);
 
 void BM_InferenceAttentionFp32Simd(benchmark::State& state) {
   RunInferenceBackend(state, /*simd_mode=*/1, /*int8=*/false);
 }
-BENCHMARK(BM_InferenceAttentionFp32Simd)->Arg(32)->Arg(100)->Arg(128);
+BENCHMARK(BM_InferenceAttentionFp32Simd)
+    ->UseRealTime()
+    ->Arg(32)->Arg(100)->Arg(128);
 
 void BM_InferenceAttentionInt8(benchmark::State& state) {
   RunInferenceBackend(state, /*simd_mode=*/1, /*int8=*/true);
 }
-BENCHMARK(BM_InferenceAttentionInt8)->Arg(32)->Arg(100)->Arg(128);
+BENCHMARK(BM_InferenceAttentionInt8)
+    ->UseRealTime()
+    ->Arg(32)->Arg(100)->Arg(128);
 
 void BM_RelationMatrixBuild(benchmark::State& state) {
   const int64_t n = state.range(0);
@@ -276,7 +292,7 @@ void BM_RelationMatrixBuild(benchmark::State& state) {
     benchmark::DoNotOptimize(SoftmaxScaleRelation(r, 0).data());
   }
 }
-BENCHMARK(BM_RelationMatrixBuild)->Arg(32)->Arg(128);
+BENCHMARK(BM_RelationMatrixBuild)->UseRealTime()->Arg(32)->Arg(128);
 
 }  // namespace
 }  // namespace stisan::core

@@ -27,7 +27,7 @@ void BM_Haversine(benchmark::State& state) {
     benchmark::DoNotOptimize(HaversineKm(a, b));
   }
 }
-BENCHMARK(BM_Haversine);
+BENCHMARK(BM_Haversine)->UseRealTime();
 
 void BM_QuadKeyEncode(benchmark::State& state) {
   GeoPoint p{43.88, 125.35};
@@ -35,7 +35,7 @@ void BM_QuadKeyEncode(benchmark::State& state) {
     benchmark::DoNotOptimize(ToQuadKey(p, 17));
   }
 }
-BENCHMARK(BM_QuadKeyEncode);
+BENCHMARK(BM_QuadKeyEncode)->UseRealTime();
 
 void BM_IndexBuild(benchmark::State& state) {
   auto pts = RandomCity(state.range(0), 11);
@@ -44,7 +44,7 @@ void BM_IndexBuild(benchmark::State& state) {
     benchmark::DoNotOptimize(index.size());
   }
 }
-BENCHMARK(BM_IndexBuild)->Arg(1000)->Arg(10000);
+BENCHMARK(BM_IndexBuild)->UseRealTime()->Arg(1000)->Arg(10000);
 
 void BM_KNearest100(benchmark::State& state) {
   auto pts = RandomCity(state.range(0), 13);
@@ -55,7 +55,7 @@ void BM_KNearest100(benchmark::State& state) {
     benchmark::DoNotOptimize(index.KNearest(q, 100));
   }
 }
-BENCHMARK(BM_KNearest100)->Arg(1000)->Arg(10000);
+BENCHMARK(BM_KNearest100)->UseRealTime()->Arg(1000)->Arg(10000);
 
 void BM_WithinRadius(benchmark::State& state) {
   auto pts = RandomCity(5000, 19);
@@ -66,7 +66,7 @@ void BM_WithinRadius(benchmark::State& state) {
     benchmark::DoNotOptimize(index.WithinRadius(q, 4.0));
   }
 }
-BENCHMARK(BM_WithinRadius);
+BENCHMARK(BM_WithinRadius)->UseRealTime();
 
 }  // namespace
 }  // namespace stisan::geo

@@ -60,10 +60,10 @@ void RunGemm(benchmark::State& state, int simd_mode) {
   ->Args({32, 50})->Args({32, 64})->Args({100, 50})->Args({100, 64})->Args({128, 50})->Args({128, 64})
 
 void BM_GemmScalar(benchmark::State& state) { RunGemm(state, 0); }
-BENCHMARK(BM_GemmScalar) STISAN_KERNEL_SHAPES;
+BENCHMARK(BM_GemmScalar)->UseRealTime() STISAN_KERNEL_SHAPES;
 
 void BM_GemmSimd(benchmark::State& state) { RunGemm(state, 1); }
-BENCHMARK(BM_GemmSimd) STISAN_KERNEL_SHAPES;
+BENCHMARK(BM_GemmSimd)->UseRealTime() STISAN_KERNEL_SHAPES;
 
 void RunSoftmaxRows(benchmark::State& state, int simd_mode) {
   const int64_t n = state.range(0), d = state.range(1);
@@ -77,10 +77,10 @@ void RunSoftmaxRows(benchmark::State& state, int simd_mode) {
 }
 
 void BM_SoftmaxRowsScalar(benchmark::State& state) { RunSoftmaxRows(state, 0); }
-BENCHMARK(BM_SoftmaxRowsScalar) STISAN_KERNEL_SHAPES;
+BENCHMARK(BM_SoftmaxRowsScalar)->UseRealTime() STISAN_KERNEL_SHAPES;
 
 void BM_SoftmaxRowsSimd(benchmark::State& state) { RunSoftmaxRows(state, 1); }
-BENCHMARK(BM_SoftmaxRowsSimd) STISAN_KERNEL_SHAPES;
+BENCHMARK(BM_SoftmaxRowsSimd)->UseRealTime() STISAN_KERNEL_SHAPES;
 
 void RunLayerNormRows(benchmark::State& state, int simd_mode) {
   const int64_t n = state.range(0), d = state.range(1);
@@ -100,12 +100,12 @@ void RunLayerNormRows(benchmark::State& state, int simd_mode) {
 void BM_LayerNormRowsScalar(benchmark::State& state) {
   RunLayerNormRows(state, 0);
 }
-BENCHMARK(BM_LayerNormRowsScalar) STISAN_KERNEL_SHAPES;
+BENCHMARK(BM_LayerNormRowsScalar)->UseRealTime() STISAN_KERNEL_SHAPES;
 
 void BM_LayerNormRowsSimd(benchmark::State& state) {
   RunLayerNormRows(state, 1);
 }
-BENCHMARK(BM_LayerNormRowsSimd) STISAN_KERNEL_SHAPES;
+BENCHMARK(BM_LayerNormRowsSimd)->UseRealTime() STISAN_KERNEL_SHAPES;
 
 // The dynamic int8 path exactly as the MatMul hook runs it per call:
 // quantize the activation rows, int8 dot against the pre-transposed
@@ -137,7 +137,7 @@ void BM_Int8GemmDynamic(benchmark::State& state) {
   state.counters["flops"] = benchmark::Counter(
       static_cast<double>(2 * n * d * d), benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_Int8GemmDynamic) STISAN_KERNEL_SHAPES;
+BENCHMARK(BM_Int8GemmDynamic)->UseRealTime() STISAN_KERNEL_SHAPES;
 
 }  // namespace
 }  // namespace stisan

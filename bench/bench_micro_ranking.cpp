@@ -150,7 +150,9 @@ void BM_ExactRanking_GeoPrior(benchmark::State& state) {
       static_cast<double>(fx.dataset.num_pois());
   state.counters["recall_at_10"] = 1.0;  // the reference ranks itself
 }
-BENCHMARK(BM_ExactRanking_GeoPrior)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ExactRanking_GeoPrior)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 void BM_PrunedRanking_GeoPrior(benchmark::State& state) {
   auto& fx = Fixture();
@@ -178,7 +180,7 @@ void BM_PrunedRanking_GeoPrior(benchmark::State& state) {
   state.counters["target_in_pool"] = in_pool;
   state.counters["pool_size"] = pool_size;
 }
-BENCHMARK(BM_PrunedRanking_GeoPrior)
+BENCHMARK(BM_PrunedRanking_GeoPrior)->UseRealTime()
     ->Arg(100)
     ->Arg(500)
     ->Arg(2000)
@@ -207,7 +209,9 @@ void BM_PrunedRanking_Stisan(benchmark::State& state) {
       static_cast<double>(fx.dataset.num_pois());
   state.counters["target_in_pool"] = in_pool;
 }
-BENCHMARK(BM_PrunedRanking_Stisan)->Arg(500)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_PrunedRanking_Stisan)
+    ->UseRealTime()
+    ->Arg(500)->Unit(benchmark::kMillisecond);
 
 // Stage one alone: candidate generation throughput (queries/s) at metro
 // scale, serial vs thread pool.
@@ -230,7 +234,7 @@ void BM_CandidateGeneration(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(queries.size()));
 }
-BENCHMARK(BM_CandidateGeneration)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_CandidateGeneration)->UseRealTime()->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace stisan::bench

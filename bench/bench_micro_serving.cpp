@@ -113,7 +113,7 @@ void BM_IncrementalAppendScore(benchmark::State& state) {
   }
   ReportLatencies(state, lat_us);
 }
-BENCHMARK(BM_IncrementalAppendScore)->Arg(20)->Arg(50)->Arg(100);
+BENCHMARK(BM_IncrementalAppendScore)->UseRealTime()->Arg(20)->Arg(50)->Arg(100);
 
 // The same requests served by a cold full forward over the whole prefix —
 // what serving costs without the session cache.
@@ -138,7 +138,7 @@ void BM_FullRecomputeScore(benchmark::State& state) {
   }
   ReportLatencies(state, lat_us);
 }
-BENCHMARK(BM_FullRecomputeScore)->Arg(20)->Arg(50)->Arg(100);
+BENCHMARK(BM_FullRecomputeScore)->UseRealTime()->Arg(20)->Arg(50)->Arg(100);
 
 // End-to-end service layer (session store, op queue, obs counters) in
 // pump mode: the per-request overhead on top of the raw engine.
@@ -171,7 +171,7 @@ void BM_ServicePumpAppendScore(benchmark::State& state) {
   }
   ReportLatencies(state, lat_us);
 }
-BENCHMARK(BM_ServicePumpAppendScore)->Arg(100);
+BENCHMARK(BM_ServicePumpAppendScore)->UseRealTime()->Arg(100);
 
 // The same pump-mode service with ServeOptions.use_int8: every incremental
 // append/score runs through the quantized GEMM/gather hooks. Compared
@@ -208,7 +208,7 @@ void BM_ServicePumpAppendScoreInt8(benchmark::State& state) {
   }
   ReportLatencies(state, lat_us);
 }
-BENCHMARK(BM_ServicePumpAppendScoreInt8)->Arg(100);
+BENCHMARK(BM_ServicePumpAppendScoreInt8)->UseRealTime()->Arg(100);
 
 // The same service path with the full overload-safety machinery armed —
 // request validation (num_pois bound), bounded-queue admission
@@ -250,7 +250,7 @@ void BM_ServicePumpOverloadGuards(benchmark::State& state) {
   }
   ReportLatencies(state, lat_us);
 }
-BENCHMARK(BM_ServicePumpOverloadGuards)->Arg(100);
+BENCHMARK(BM_ServicePumpOverloadGuards)->UseRealTime()->Arg(100);
 
 }  // namespace
 }  // namespace stisan

@@ -27,7 +27,7 @@ void BM_MatMul(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * 2 * n * n * n);
 }
-BENCHMARK(BM_MatMul)->Arg(32)->Arg(64)->Arg(128);
+BENCHMARK(BM_MatMul)->UseRealTime()->Arg(32)->Arg(64)->Arg(128);
 
 void BM_MatMulBackward(benchmark::State& state) {
   const int64_t n = state.range(0);
@@ -42,7 +42,7 @@ void BM_MatMulBackward(benchmark::State& state) {
     benchmark::DoNotOptimize(a.grad_data());
   }
 }
-BENCHMARK(BM_MatMulBackward)->Arg(32)->Arg(64);
+BENCHMARK(BM_MatMulBackward)->UseRealTime()->Arg(32)->Arg(64);
 
 void BM_Softmax(benchmark::State& state) {
   const int64_t n = state.range(0);
@@ -52,7 +52,7 @@ void BM_Softmax(benchmark::State& state) {
     benchmark::DoNotOptimize(ops::Softmax(a).data());
   }
 }
-BENCHMARK(BM_Softmax)->Arg(64)->Arg(256);
+BENCHMARK(BM_Softmax)->UseRealTime()->Arg(64)->Arg(256);
 
 void BM_LayerNorm(benchmark::State& state) {
   const int64_t n = state.range(0);
@@ -64,7 +64,7 @@ void BM_LayerNorm(benchmark::State& state) {
     benchmark::DoNotOptimize(ops::LayerNorm(x, gamma, beta).data());
   }
 }
-BENCHMARK(BM_LayerNorm)->Arg(32)->Arg(128);
+BENCHMARK(BM_LayerNorm)->UseRealTime()->Arg(32)->Arg(128);
 
 void BM_EmbeddingLookup(benchmark::State& state) {
   Rng rng(5);
@@ -75,7 +75,7 @@ void BM_EmbeddingLookup(benchmark::State& state) {
     benchmark::DoNotOptimize(ops::EmbeddingLookup(w, ids).data());
   }
 }
-BENCHMARK(BM_EmbeddingLookup);
+BENCHMARK(BM_EmbeddingLookup)->UseRealTime();
 
 void BM_BroadcastAdd(benchmark::State& state) {
   Rng rng(6);
@@ -85,7 +85,7 @@ void BM_BroadcastAdd(benchmark::State& state) {
     benchmark::DoNotOptimize((a + b).data());
   }
 }
-BENCHMARK(BM_BroadcastAdd);
+BENCHMARK(BM_BroadcastAdd)->UseRealTime();
 
 // ---- View vs copy shape ops -------------------------------------------------
 // Reshape/Slice/TransposeLast2 are zero-copy views; pairing each with its
@@ -99,7 +99,7 @@ void BM_TransposeView(benchmark::State& state) {
     benchmark::DoNotOptimize(ops::TransposeLast2(a).storage_data());
   }
 }
-BENCHMARK(BM_TransposeView)->Arg(64)->Arg(256);
+BENCHMARK(BM_TransposeView)->UseRealTime()->Arg(64)->Arg(256);
 
 void BM_TransposeMaterialize(benchmark::State& state) {
   const int64_t n = state.range(0);
@@ -109,7 +109,7 @@ void BM_TransposeMaterialize(benchmark::State& state) {
     benchmark::DoNotOptimize(ops::TransposeLast2(a).Contiguous().data());
   }
 }
-BENCHMARK(BM_TransposeMaterialize)->Arg(64)->Arg(256);
+BENCHMARK(BM_TransposeMaterialize)->UseRealTime()->Arg(64)->Arg(256);
 
 void BM_SliceView(benchmark::State& state) {
   const int64_t n = state.range(0);
@@ -119,7 +119,7 @@ void BM_SliceView(benchmark::State& state) {
     benchmark::DoNotOptimize(ops::Slice(a, 0, n / 4, 3 * n / 4).storage_data());
   }
 }
-BENCHMARK(BM_SliceView)->Arg(64)->Arg(256);
+BENCHMARK(BM_SliceView)->UseRealTime()->Arg(64)->Arg(256);
 
 void BM_SliceInnerMaterialize(benchmark::State& state) {
   const int64_t n = state.range(0);
@@ -130,7 +130,7 @@ void BM_SliceInnerMaterialize(benchmark::State& state) {
         ops::Slice(a, 1, n / 4, 3 * n / 4).Contiguous().data());
   }
 }
-BENCHMARK(BM_SliceInnerMaterialize)->Arg(64)->Arg(256);
+BENCHMARK(BM_SliceInnerMaterialize)->UseRealTime()->Arg(64)->Arg(256);
 
 void BM_ReshapeView(benchmark::State& state) {
   const int64_t n = state.range(0);
@@ -140,7 +140,7 @@ void BM_ReshapeView(benchmark::State& state) {
     benchmark::DoNotOptimize(ops::Reshape(a, {n * n}).storage_data());
   }
 }
-BENCHMARK(BM_ReshapeView)->Arg(64)->Arg(256);
+BENCHMARK(BM_ReshapeView)->UseRealTime()->Arg(64)->Arg(256);
 
 // ---- Serial vs threaded kernels ---------------------------------------------
 
@@ -157,7 +157,7 @@ void BM_MatMulThreads(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 2 * n * n * n);
   kernels::SetNumThreads(0);
 }
-BENCHMARK(BM_MatMulThreads)
+BENCHMARK(BM_MatMulThreads)->UseRealTime()
     ->Args({128, 1})
     ->Args({128, 0})
     ->Args({256, 1})
@@ -174,7 +174,7 @@ void BM_SoftmaxThreads(benchmark::State& state) {
   state.counters["threads"] = static_cast<double>(kernels::NumThreads());
   kernels::SetNumThreads(0);
 }
-BENCHMARK(BM_SoftmaxThreads)->Args({256, 1})->Args({256, 0});
+BENCHMARK(BM_SoftmaxThreads)->UseRealTime()->Args({256, 1})->Args({256, 0});
 
 }  // namespace
 }  // namespace stisan

@@ -73,9 +73,10 @@ Tensor CausalSelfAttention::HeadAttention(const Tensor& q, const Tensor& k,
     }
     return ops::FusedAttention(q, k, v, bias, options);
   }
-  // Composed reference path (STISAN_FUSED_ATTENTION=0): TransposeLast2
-  // yields a zero-copy view; when k is a contiguous matrix MatMul consumes
-  // it in place through the fused transposed-GEMM path.
+  // Composed reference path (ops::SetFusedAttentionEnabled(0), the test
+  // oracle): TransposeLast2 yields a zero-copy view; when k is a contiguous
+  // matrix MatMul consumes it in place through the fused transposed-GEMM
+  // path.
   Tensor logits = ops::MulScalar(ops::MatMul(q, ops::TransposeLast2(k)),
                                  scale);
   if (causal_) logits = logits + BuildCausalMask(n);

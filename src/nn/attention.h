@@ -11,8 +11,8 @@ namespace stisan::nn {
 /// Builds an [n, n] additive causal mask: 0 on/below the diagonal, -1e9
 /// strictly above (prevents information leakage, paper §III-D). Memoised per
 /// length behind a mutex — callers share one gradient-free tensor and must
-/// not mutate it. Only the composed (STISAN_FUSED_ATTENTION=0) path needs
-/// it; the fused kernel applies causality by loop bounds.
+/// not mutate it. Only the composed reference path needs it; the fused
+/// kernel applies causality by loop bounds.
 Tensor BuildCausalMask(int64_t n);
 
 /// Single-head scaled dot-product self-attention with a causal mask
@@ -26,9 +26,9 @@ Tensor BuildCausalMask(int64_t n);
 /// gradients through either lowering.
 ///
 /// Lowering: by default the whole softmax(qkᵀ·scale + mask + bias)v chain
-/// runs as one ops::FusedAttention node; STISAN_FUSED_ATTENTION=0 selects
-/// the composed per-op reference path. Both produce bit-identical outputs
-/// and gradients.
+/// runs as one ops::FusedAttention node; ops::SetFusedAttentionEnabled(0)
+/// selects the composed per-op reference path, which tests and benchmarks
+/// use as the oracle. Both produce bit-identical outputs and gradients.
 class CausalSelfAttention : public Module {
  public:
   /// `causal` = false disables the built-in causal mask (bidirectional

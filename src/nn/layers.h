@@ -22,9 +22,9 @@ class Linear : public Module {
 
   Tensor Forward(const Tensor& x) const;
 
-  /// relu(Forward(x)): lowers through ops::FusedBiasRelu (one node) when
-  /// plan::FusionEnabled(), otherwise the composed MatMul + Add + Relu
-  /// chain. Both paths are bit-identical.
+  /// relu(Forward(x)), with the bias add and ReLU lowered through
+  /// ops::FusedBiasRelu (one node). Bit-identical to the composed
+  /// MatMul + Add + Relu chain.
   Tensor ForwardRelu(const Tensor& x) const;
 
   int64_t in_features() const { return in_features_; }
@@ -62,9 +62,8 @@ class LayerNorm : public Module {
 
   Tensor Forward(const Tensor& x) const;
 
-  /// Forward(base + residual): lowers through ops::FusedResidualLayerNorm
-  /// (one node) when plan::FusionEnabled(), otherwise the composed Add +
-  /// LayerNorm chain. Both paths are bit-identical.
+  /// Forward(base + residual), lowered through ops::FusedResidualLayerNorm
+  /// (one node). Bit-identical to the composed Add + LayerNorm chain.
   Tensor ForwardResidual(const Tensor& base, const Tensor& residual) const;
 
  private:

@@ -170,22 +170,24 @@ Tensor FusedAttention(const Tensor& q, const Tensor& k, const Tensor& v,
                       const Tensor& bias, bool causal, float scale);
 
 /// True when attention layers should lower through FusedAttention (the
-/// default). STISAN_FUSED_ATTENTION=0 selects the composed reference path;
-/// SetFusedAttentionEnabled overrides the environment (1 on, 0 off, -1
-/// restore) for tests and benchmarks.
+/// default). SetFusedAttentionEnabled(0) selects the composed reference
+/// chain, which tests and benchmarks use as the oracle; 1 or -1 restores
+/// the fused default.
 bool FusedAttentionEnabled();
 void SetFusedAttentionEnabled(int value);
 
 /// Fused relu(x + b) for a trailing bias vector b ([d] against x [..., d]):
 /// one autograd node instead of the Add + Relu pair. Forward values,
 /// gradients, and accumulation order are bit-identical to the composed
-/// chain. Modules lower through this when plan::FusionEnabled().
+/// chain, which stays only as the test oracle: Linear::ForwardRelu always
+/// lowers through this.
 Tensor FusedBiasRelu(const Tensor& x, const Tensor& b);
 
 /// Fused LayerNorm(x + r): the residual-add feeding a layer norm collapses
 /// into one autograd node that saves the sum (plus the per-row stats)
 /// instead of materialising an intermediate graph node. Bit-identical to
 /// the composed chain, including the serial backward reduction order.
+/// LayerNorm::ForwardResidual always lowers through this.
 Tensor FusedResidualLayerNorm(const Tensor& x, const Tensor& r,
                               const Tensor& gamma, const Tensor& beta,
                               float eps);

@@ -1,15 +1,18 @@
-// Fused attention + arena/cache test suite (label: "fused").
+// Fused-op + cache test suite (label: "fused").
 //
-// Covers the ops::FusedAttention contract from four angles:
+// Covers the ops::FusedAttention contract from three angles:
 //  1. analytic gradients vs central finite differences (bias/no-bias,
 //     causal/non-causal, 2-D and padded-batch 3-D),
 //  2. bit-equivalence against the composed per-op reference lowering
-//     (STISAN_FUSED_ATTENTION=0) for forward, input grads, parameter grads,
-//     learned-bias grads and the dropout RNG stream,
+//     (ops::SetFusedAttentionEnabled(0)) for forward, input grads,
+//     parameter grads, learned-bias grads and the dropout RNG stream,
 //  3. bit-determinism across thread counts on shapes large enough to
-//     actually split in ParallelRanges,
-//  4. the tape memory arena being bit-invisible while recycling buffers
-//     across interleaved training steps and eval batches.
+//     actually split in ParallelRanges.
+//
+// The fused elementwise ops (FusedBiasRelu, FusedResidualLayerNorm) get
+// gradchecks and bit-equivalence against their composed chains, both as
+// raw ops and through the Linear::ForwardRelu / LayerNorm::ForwardResidual
+// module lowerings that always use them.
 //
 // Plus the memoisation caches: BuildCausalMask, CachedScaledRelation and
 // CachedSinusoidalEncoding must return shared handles on repeat requests.
@@ -18,13 +21,15 @@
 
 #include <algorithm>
 #include <cmath>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "core/relation.h"
 #include "core/taad.h"
 #include "core/tape.h"
 #include "nn/attention.h"
-#include "tensor/arena.h"
+#include "nn/layers.h"
 #include "tensor/gradcheck.h"
 #include "tensor/kernels.h"
 #include "tensor/ops.h"
@@ -340,68 +345,156 @@ TEST(FusedDeterminism, BitIdenticalAcrossThreadCounts) {
   EXPECT_EQ(serial.grads, parallel.grads);
 }
 
-// ---- 4. Arena --------------------------------------------------------------
+// ---- 4. Fused elementwise lowerings vs their composed chains --------------
 
-TEST(ArenaTest, InterleavedTrainEvalBitInvisibleAndRecycles) {
-  // Emulates the production scope layout: an outer training-run scope with
-  // per-step tapes, a nested eval scope firing mid-run (the trainer's
-  // periodic eval callback). Arena on must be bit-identical to arena off
-  // and must actually serve buffers from the pool.
-  auto run = [](bool arena_on) {
-    arena::SetEnabledForTesting(arena_on ? 1 : 0);
-    std::vector<float> trace;
-    {
-      arena::Scope train_scope;
-      for (int step = 0; step < 4; ++step) {
-        Tensor q = RandomInput({6, 8}, 100 + uint64_t(step));
-        Tensor k = RandomInput({6, 8}, 200 + uint64_t(step));
-        Tensor v = RandomInput({6, 8}, 300 + uint64_t(step));
-        const float scale = 1.0f / std::sqrt(8.0f);
-        Tensor loss = ops::Sum(ops::Square(
-            ops::FusedAttention(q, k, v, Tensor(), /*causal=*/true, scale)));
-        loss.Backward();
-        trace.push_back(loss.ToVector()[0]);
-        auto g = GradVector(q);
-        trace.insert(trace.end(), g.begin(), g.end());
-        if (step % 2 == 1) {  // interleaved eval batch
-          arena::Scope eval_scope;
-          NoGradGuard no_grad;
-          Tensor eq = RandomInput({4, 8}, 400 + uint64_t(step));
-          Tensor ek = RandomInput({5, 8}, 500 + uint64_t(step));
-          Tensor ev = RandomInput({5, 8}, 600 + uint64_t(step));
-          Tensor y =
-              ops::FusedAttention(eq, ek, ev, Tensor(), /*causal=*/false,
-                                  1.0f / std::sqrt(8.0f));
-          auto yv = y.ToVector();
-          trace.insert(trace.end(), yv.begin(), yv.end());
-        }
-      }
-    }
-    arena::SetEnabledForTesting(-1);
-    return trace;
+TEST(FusedElementwise, FusedBiasReluMatchesComposedBitExact) {
+  kernels::SetNumThreads(1);
+  Rng rng(11);
+  const Tensor x0 = Tensor::Randn({5, 7}, rng);
+  const Tensor b0 = Tensor::Randn({7}, rng);
+  const Tensor up = Tensor::Randn({5, 7}, rng);  // varied upstream grads
+
+  auto run = [&](bool fused) {
+    Tensor x = Tensor::FromVector({5, 7}, x0.ToVector(), true);
+    Tensor b = Tensor::FromVector({7}, b0.ToVector(), true);
+    Tensor out = fused ? ops::FusedBiasRelu(x, b) : ops::Relu(x + b);
+    ops::Sum(out * up).Backward();
+    return std::tuple{out.ToVector(), GradVector(x), GradVector(b)};
   };
-  const std::vector<float> off = run(false);
-  arena::ResetStats();
-  const std::vector<float> on = run(true);
-  const arena::Stats stats = arena::GetStats();
-  EXPECT_EQ(off, on);  // bit-identical values, arena invisible
-  EXPECT_GT(stats.hits, 0u) << "arena never recycled a buffer";
-  EXPECT_GT(stats.recycled, 0u);
+  const auto [f_out, f_xg, f_bg] = run(true);
+  const auto [c_out, c_xg, c_bg] = run(false);
+  EXPECT_EQ(f_out, c_out);
+  EXPECT_EQ(f_xg, c_xg);
+  EXPECT_EQ(f_bg, c_bg);
 }
 
-TEST(ArenaTest, InactiveWithoutScopeOrFlag) {
-  arena::SetEnabledForTesting(1);
-  EXPECT_FALSE(arena::Active());  // enabled but no live Scope
-  {
-    arena::Scope scope;
-    EXPECT_TRUE(arena::Active());
+TEST(FusedElementwise, FusedResidualLayerNormMatchesComposedBitExact) {
+  kernels::SetNumThreads(1);
+  Rng rng(12);
+  const Tensor x0 = Tensor::Randn({4, 6}, rng);
+  const Tensor r0 = Tensor::Randn({4, 6}, rng);
+  const Tensor g0 = Tensor::Rand({6}, rng, 0.5f, 1.5f);
+  const Tensor be0 = Tensor::Randn({6}, rng, 0.1f);
+  const Tensor up = Tensor::Randn({4, 6}, rng);
+  constexpr float kEps = 1e-5f;
+
+  auto run = [&](bool fused) {
+    Tensor x = Tensor::FromVector({4, 6}, x0.ToVector(), true);
+    Tensor r = Tensor::FromVector({4, 6}, r0.ToVector(), true);
+    Tensor g = Tensor::FromVector({6}, g0.ToVector(), true);
+    Tensor be = Tensor::FromVector({6}, be0.ToVector(), true);
+    Tensor out = fused ? ops::FusedResidualLayerNorm(x, r, g, be, kEps)
+                       : ops::LayerNorm(x + r, g, be, kEps);
+    ops::Sum(out * up).Backward();
+    return std::tuple{out.ToVector(), GradVector(x), GradVector(r),
+                      GradVector(g), GradVector(be)};
+  };
+  const auto [f_out, f_xg, f_rg, f_gg, f_bg] = run(true);
+  const auto [c_out, c_xg, c_rg, c_gg, c_bg] = run(false);
+  EXPECT_EQ(f_out, c_out);
+  EXPECT_EQ(f_xg, c_xg);
+  EXPECT_EQ(f_rg, c_rg);
+  EXPECT_EQ(f_gg, c_gg);
+  EXPECT_EQ(f_bg, c_bg);
+}
+
+TEST(FusedElementwise, GradCheckFusedBiasRelu) {
+  kernels::SetNumThreads(1);
+  Rng rng(13);
+  // Preactivations stay clearly on one side of the ReLU kink so the central
+  // differences never straddle it: x in (0.25, 1), bias entries +1 or -3.
+  Tensor x = Tensor::Rand({3, 4}, rng, 0.25f, 1.0f, /*requires_grad=*/true);
+  Tensor b = Tensor::FromVector({4}, {1.0f, -3.0f, 1.0f, -3.0f},
+                                /*requires_grad=*/true);
+  EXPECT_GRADCHECK_OK(
+      [&] { return ops::Sum(ops::Square(ops::FusedBiasRelu(x, b))); }, x, b);
+}
+
+TEST(FusedElementwise, GradCheckFusedResidualLayerNorm) {
+  kernels::SetNumThreads(1);
+  Rng rng(14);
+  Tensor x = Tensor::Randn({3, 5}, rng, 1.0f, /*requires_grad=*/true);
+  Tensor r = Tensor::Randn({3, 5}, rng, 1.0f, /*requires_grad=*/true);
+  Tensor g = Tensor::Rand({5}, rng, 0.5f, 1.5f, /*requires_grad=*/true);
+  Tensor be = Tensor::Randn({5}, rng, 0.1f, /*requires_grad=*/true);
+  EXPECT_GRADCHECK_OK(
+      [&] {
+        return ops::Sum(
+            ops::Square(ops::FusedResidualLayerNorm(x, r, g, be, 1e-5f)));
+      },
+      x, r, g, be);
+}
+
+// The modules always take the fused lowerings; the composed chains they
+// replaced must still agree bit for bit, in the forward and in every grad.
+
+// Grads of `inputs` followed by every parameter of `module`, zeroing the
+// parameter grads afterwards so the next run starts clean.
+std::vector<std::vector<float>> TakeGrads(const std::vector<Tensor>& inputs,
+                                          const nn::Module& module) {
+  std::vector<std::vector<float>> grads;
+  for (const Tensor& t : inputs) grads.push_back(GradVector(t));
+  for (Tensor p : module.Parameters()) {
+    grads.push_back(GradVector(p));
+    p.ZeroGrad();
   }
-  arena::SetEnabledForTesting(0);
-  {
-    arena::Scope scope;
-    EXPECT_FALSE(arena::Active());  // scope alive but pooling disabled
+  return grads;
+}
+
+TEST(FusedElementwise, LinearForwardReluMatchesComposedChain) {
+  kernels::SetNumThreads(1);
+  Rng rng(15);
+  nn::Linear linear(5, 7, rng);
+  // Non-zero bias so the ReLU gate depends on it.
+  for (Tensor p : linear.Parameters()) {
+    if (p.dim() == 1) {
+      const Tensor b = Tensor::Randn({7}, rng, 0.5f);
+      std::copy_n(b.data(), 7, p.data());
+    }
   }
-  arena::SetEnabledForTesting(-1);
+  const Tensor x0 = Tensor::Randn({2, 3, 5}, rng);
+  const Tensor up = Tensor::Randn({2, 3, 7}, rng);
+
+  auto run = [&](bool fused) {
+    Tensor x = Tensor::FromVector({2, 3, 5}, x0.ToVector(), true);
+    Tensor out =
+        fused ? linear.ForwardRelu(x) : ops::Relu(linear.Forward(x));
+    ops::Sum(out * up).Backward();
+    return std::pair{out.ToVector(), TakeGrads({x}, linear)};
+  };
+  const auto [f_out, f_grads] = run(true);
+  const auto [c_out, c_grads] = run(false);
+  EXPECT_EQ(f_out, c_out);
+  ASSERT_EQ(f_grads.size(), 3u);  // x, weight, bias
+  EXPECT_EQ(f_grads, c_grads);
+}
+
+TEST(FusedElementwise, LayerNormForwardResidualMatchesComposedChain) {
+  kernels::SetNumThreads(1);
+  Rng rng(16);
+  nn::LayerNorm norm(6);
+  // Move gamma/beta off their 1/0 init so both grads carry information.
+  for (Tensor p : norm.Parameters()) {
+    const Tensor v = Tensor::Rand({6}, rng, 0.5f, 1.5f);
+    std::copy_n(v.data(), 6, p.data());
+  }
+  const Tensor b0 = Tensor::Randn({2, 3, 6}, rng);
+  const Tensor r0 = Tensor::Randn({2, 3, 6}, rng);
+  const Tensor up = Tensor::Randn({2, 3, 6}, rng);
+
+  auto run = [&](bool fused) {
+    Tensor base = Tensor::FromVector({2, 3, 6}, b0.ToVector(), true);
+    Tensor residual = Tensor::FromVector({2, 3, 6}, r0.ToVector(), true);
+    Tensor out = fused ? norm.ForwardResidual(base, residual)
+                       : norm.Forward(base + residual);
+    ops::Sum(out * up).Backward();
+    return std::pair{out.ToVector(), TakeGrads({base, residual}, norm)};
+  };
+  const auto [f_out, f_grads] = run(true);
+  const auto [c_out, c_grads] = run(false);
+  EXPECT_EQ(f_out, c_out);
+  ASSERT_EQ(f_grads.size(), 4u);  // base, residual, gamma, beta
+  EXPECT_EQ(f_grads, c_grads);
 }
 
 // ---- 5. Memoisation caches ---------------------------------------------------

@@ -64,7 +64,7 @@ TEST(GoldenMetricsTest, PipelineMatchesCheckedInGolden) {
 }
 
 TEST(GoldenMetricsTest, ComposedLoweringMatchesSameGolden) {
-  // STISAN_FUSED_ATTENTION=0 swaps every attention layer to the composed
+  // SetFusedAttentionEnabled(0) swaps every attention layer to the composed
   // per-op reference path; the two lowerings are bit-identical, so both must
   // reproduce the one checked-in golden file exactly.
   ops::SetFusedAttentionEnabled(0);

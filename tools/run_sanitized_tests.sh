@@ -6,18 +6,18 @@
 #
 # Uses the asan/ubsan/tsan presets from CMakePresets.json (build trees
 # build-asan/, build-ubsan/ and build-tsan/); the asan/ubsan test presets
-# run the "unit", "robustness", "fused", "obs", "plan", "serve", "quant"
-# and "ranking" labels, skipping the end-to-end CLI/tool smoke tests whose sanitized
+# run the "unit", "robustness", "fused", "obs", "serve", "quant" and
+# "ranking" labels, skipping the end-to-end CLI/tool smoke tests whose sanitized
 # runtimes are excessive on one core. The tsan preset runs only the
 # concurrency-heavy "serve" and "obs" labels — the memory-safety gates
 # add nothing under TSan and its runtime overhead is the largest.
 #
 # After the unit pass, the "robustness" suite (fault-injection sweeps,
 # checkpoint fuzzing, kill/resume determinism) and the "fused" suite
-# (fused-attention kernels, arena stress with interleaved train/eval
-# scopes) are re-run as explicit gates: torn-write handling and the
-# hand-written attention backward/arena recycling are exactly where the
-# sanitizers catch out-of-bounds reads that a plain run would miss.
+# (fused attention, bias+ReLU and residual+LayerNorm kernels) are re-run
+# as explicit gates: torn-write handling and the hand-written fused
+# backwards are exactly where the sanitizers catch out-of-bounds reads
+# that a plain run would miss.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -42,11 +42,11 @@ for preset in "${presets[@]}"; do
    ASAN_OPTIONS="halt_on_error=1" \
    UBSAN_OPTIONS="print_stacktrace=1:halt_on_error=1" \
    ctest -L robustness --output-on-failure)
-  echo "==== ${preset}: ctest (fused-attention gate) ===="
+  echo "==== ${preset}: ctest (fused-op gate) ===="
   (cd "build-${preset}" && \
    ASAN_OPTIONS="halt_on_error=1" \
    UBSAN_OPTIONS="print_stacktrace=1:halt_on_error=1" \
-   STISAN_ARENA=1 ctest -L fused --output-on-failure)
+   ctest -L fused --output-on-failure)
   echo "==== ${preset}: ctest (observability gate) ===="
   # Concurrent counter/histogram increments from the thread pool are the
   # registry's hot path; running the obs label explicitly under the
@@ -55,14 +55,6 @@ for preset in "${presets[@]}"; do
    ASAN_OPTIONS="halt_on_error=1" \
    UBSAN_OPTIONS="print_stacktrace=1:halt_on_error=1" \
    ctest -L obs --output-on-failure)
-  echo "==== ${preset}: ctest (static-plan gate) ===="
-  # Replayed steps reuse exact-size pooled buffers and skip the backward
-  # topo sort; the plan label re-runs the parity suite with plans and the
-  # arena forced on so the sanitizers sweep the capture/replay machinery.
-  (cd "build-${preset}" && \
-   ASAN_OPTIONS="halt_on_error=1" \
-   UBSAN_OPTIONS="print_stacktrace=1:halt_on_error=1" \
-   STISAN_STATIC_PLAN=1 STISAN_ARENA=1 ctest -L plan --output-on-failure)
   echo "==== ${preset}: ctest (serving gate) ===="
   # The serving runtime rewrites attention rows into long-lived per-user
   # K/V buffers and batches concurrent requests through a worker thread —
