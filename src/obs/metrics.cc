@@ -7,6 +7,7 @@
 #include "util/check.h"
 #include "util/io_env.h"
 #include "util/string_util.h"
+#include "util/thread_pool.h"
 
 namespace stisan::obs {
 
@@ -25,7 +26,22 @@ struct RegistryState {
 };
 
 RegistryState& State() {
-  static auto* state = new RegistryState;
+  static auto* state = [] {
+    auto* st = new RegistryState;
+    // The process-wide pool sits below obs (util/thread_pool.h), so the
+    // registry polls it; SetNumThreads can swap the pool, so every read
+    // goes through ReadGlobalPoolStats.
+    st->callback_gauges["threadpool/tasks_submitted"] = [] {
+      return double(ReadGlobalPoolStats().tasks_submitted);
+    };
+    st->callback_gauges["threadpool/tasks_completed"] = [] {
+      return double(ReadGlobalPoolStats().tasks_completed);
+    };
+    st->callback_gauges["threadpool/num_threads"] = [] {
+      return double(ReadGlobalPoolStats().num_threads);
+    };
+    return st;
+  }();
   return *state;
 }
 

@@ -4,73 +4,18 @@
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
-#include <memory>
-#include <mutex>
 #include <vector>
 
 #include "obs/metrics.h"
 #include "tensor/kernels_simd.h"
+#include "util/string_util.h"
 
 namespace stisan::kernels {
-
-namespace {
-
-int64_t EnvInt64(const char* name, int64_t fallback) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || v[0] == '\0') return fallback;
-  char* end = nullptr;
-  const long long parsed = std::strtoll(v, &end, 10);
-  if (end == v) return fallback;
-  return static_cast<int64_t>(parsed);
-}
-
-std::mutex g_pool_mutex;
-std::unique_ptr<ThreadPool> g_pool;
-
-// True while the current thread is executing a ParallelRanges chunk; nested
-// dispatches must run inline (a worker waiting on its own pool deadlocks).
-thread_local bool tl_in_parallel_region = false;
-
-}  // namespace
 
 int64_t ParallelMinWork() {
   static const int64_t threshold =
       std::max<int64_t>(1, EnvInt64("STISAN_PARALLEL_WORK", int64_t{1} << 15));
   return threshold;
-}
-
-ThreadPool& GlobalPool() {
-  std::lock_guard<std::mutex> lock(g_pool_mutex);
-  if (!g_pool) {
-    g_pool = std::make_unique<ThreadPool>(EnvInt64("STISAN_NUM_THREADS", 0));
-    // Snapshot-time gauges over the live pool (it can be swapped by
-    // SetNumThreads, so read through g_pool under the mutex each time).
-    static const bool registered = [] {
-      obs::RegisterCallbackGauge("threadpool/tasks_submitted", [] {
-        std::lock_guard<std::mutex> lk(g_pool_mutex);
-        return g_pool ? double(g_pool->tasks_submitted()) : 0.0;
-      });
-      obs::RegisterCallbackGauge("threadpool/tasks_completed", [] {
-        std::lock_guard<std::mutex> lk(g_pool_mutex);
-        return g_pool ? double(g_pool->tasks_completed()) : 0.0;
-      });
-      obs::RegisterCallbackGauge("threadpool/num_threads", [] {
-        std::lock_guard<std::mutex> lk(g_pool_mutex);
-        return g_pool ? double(g_pool->num_threads()) : 0.0;
-      });
-      return true;
-    }();
-    (void)registered;
-  }
-  return *g_pool;
-}
-
-int64_t NumThreads() { return GlobalPool().num_threads(); }
-
-void SetNumThreads(int64_t threads) {
-  GlobalPool();  // ensure initialised so the swap below is the only writer
-  std::lock_guard<std::mutex> lock(g_pool_mutex);
-  g_pool = std::make_unique<ThreadPool>(threads);
 }
 
 namespace {
@@ -100,7 +45,7 @@ void ParallelRanges(int64_t n, int64_t cost_per_item,
                     const std::function<void(int64_t, int64_t)>& fn) {
   if (n <= 0) return;
   const int64_t work = n * std::max<int64_t>(1, cost_per_item);
-  if (tl_in_parallel_region || work < ParallelMinWork()) {
+  if (InPoolTask() || work < ParallelMinWork()) {
     fn(0, n);
     return;
   }
@@ -117,14 +62,7 @@ void ParallelRanges(int64_t n, int64_t cost_per_item,
     const int64_t begin = c * per_chunk;
     const int64_t end = std::min(n, begin + per_chunk);
     if (begin >= end) break;
-    pool.Submit([begin, end, &fn] {
-      // RAII so a throwing fn cannot leave the flag stuck on this worker.
-      struct RegionFlag {
-        RegionFlag() { tl_in_parallel_region = true; }
-        ~RegionFlag() { tl_in_parallel_region = false; }
-      } flag;
-      fn(begin, end);
-    });
+    pool.Submit([begin, end, &fn] { fn(begin, end); });
   }
   pool.Wait();
 }

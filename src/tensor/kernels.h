@@ -1,8 +1,8 @@
 // Central compute-kernel backend for the tensor layer.
 //
 // Every dense loop the autograd ops execute (matmul, batched matmul,
-// softmax, layernorm, elementwise maps, embedding gather) lives here, behind
-// a process-wide lazily-initialised ThreadPool. Work is dispatched with
+// softmax, layernorm, elementwise maps, embedding gather) lives here, on the
+// process-wide ThreadPool (util/thread_pool.h). Work is dispatched with
 // ParallelRanges: a job is split across the pool only when its element-count
 // cost crosses kParallelMinWork (so tiny test tensors stay serial) and the
 // pool has more than one thread.
@@ -31,17 +31,12 @@ namespace stisan::kernels {
 /// serially. Overridable via STISAN_PARALLEL_WORK.
 int64_t ParallelMinWork();
 
-/// The process-wide pool. Constructed on first use with STISAN_NUM_THREADS
-/// threads (default: hardware concurrency).
-ThreadPool& GlobalPool();
-
-/// Number of worker threads the next dispatch will use.
-int64_t NumThreads();
-
-/// Re-sizes the global pool (0 = hardware concurrency). Intended for
-/// benchmarks and tests that compare serial vs threaded execution; not safe
-/// to call while kernels are executing on other threads.
-void SetNumThreads(int64_t threads);
+// The process-wide pool lives in util/thread_pool.h so that libraries below
+// the tensor layer (data generation) can share it; kernel callers keep
+// these names.
+using ::stisan::GlobalPool;
+using ::stisan::NumThreads;
+using ::stisan::SetNumThreads;
 
 // ---- SIMD backend selection ------------------------------------------------
 //
@@ -72,8 +67,8 @@ void SetSimdEnabledForTesting(int enabled);
 
 /// Runs fn(begin, end) over a partition of [0, n). Splits across the pool
 /// when n * cost_per_item >= ParallelMinWork() and more than one worker is
-/// available; otherwise calls fn(0, n) inline. Safe to call from inside a
-/// worker (nested calls run serially).
+/// available; otherwise calls fn(0, n) inline. Runs inline when called from
+/// inside any pool task (InPoolTask()), so it is safe to nest.
 void ParallelRanges(int64_t n, int64_t cost_per_item,
                     const std::function<void(int64_t, int64_t)>& fn);
 

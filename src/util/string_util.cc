@@ -49,6 +49,15 @@ Result<int64_t> ParseInt64(std::string_view s) {
   return static_cast<int64_t>(v);
 }
 
+int64_t EnvInt64(const char* name, int64_t fallback) {
+  const char* v = std::getenv(name);
+  if (v == nullptr || v[0] == '\0') return fallback;
+  char* end = nullptr;
+  const long long parsed = std::strtoll(v, &end, 10);
+  if (end == v) return fallback;
+  return static_cast<int64_t>(parsed);
+}
+
 std::string StrFormat(const char* fmt, ...) {
   va_list args;
   va_start(args, fmt);

@@ -23,6 +23,10 @@ Result<double> ParseDouble(std::string_view s);
 /// Parses a signed 64-bit integer; returns InvalidArgument on malformed input.
 Result<int64_t> ParseInt64(std::string_view s);
 
+/// Integer value of environment variable `name`, parsed like strtoll (a
+/// leading integer); `fallback` when it is unset, empty or not numeric.
+int64_t EnvInt64(const char* name, int64_t fallback);
+
 /// printf-style formatting into a std::string.
 std::string StrFormat(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
 

@@ -1,9 +1,22 @@
 #include "util/thread_pool.h"
 
 #include <algorithm>
+#include <memory>
 #include <utility>
 
+#include "util/string_util.h"
+
 namespace stisan {
+
+namespace {
+
+// Set for the whole life of every pool worker thread: anything a worker
+// runs is a pool task.
+thread_local bool tl_in_pool_task = false;
+
+}  // namespace
+
+bool InPoolTask() { return tl_in_pool_task; }
 
 ThreadPool::ThreadPool(int64_t threads) {
   if (threads <= 0) {
@@ -45,6 +58,7 @@ void ThreadPool::Wait() {
 }
 
 void ThreadPool::WorkerLoop() {
+  tl_in_pool_task = true;
   for (;;) {
     std::function<void()> task;
     {
@@ -84,10 +98,10 @@ void ParallelFor(ThreadPool& pool, int64_t n,
   // Chunk to limit queue churn.
   const int64_t chunks =
       std::min<int64_t>(n, pool.num_threads() * 4);
-  if (chunks <= 1 || pool.num_threads() <= 1) {
-    // Degenerate single-chunk case: run inline. Submitting one task would
-    // only add queue/wakeup latency, and calling Wait() from inside a
-    // worker of a single-threaded pool would deadlock.
+  if (chunks <= 1 || pool.num_threads() <= 1 || InPoolTask()) {
+    // Run inline: submitting one chunk would only add queue/wakeup
+    // latency, and Wait() from inside a pool task never returns because it
+    // counts the calling task as in flight.
     for (int64_t i = 0; i < n; ++i) fn(i);
     return;
   }
@@ -101,6 +115,46 @@ void ParallelFor(ThreadPool& pool, int64_t n,
     });
   }
   pool.Wait();
+}
+
+namespace {
+
+// g_pool_owner is written only under g_pool_mutex; dispatch reads the
+// published pointer without it. SetNumThreads destroys the previous pool,
+// which is why resizing while the pool is in use is not supported.
+std::mutex g_pool_mutex;
+std::unique_ptr<ThreadPool> g_pool_owner;
+std::atomic<ThreadPool*> g_pool{nullptr};
+
+ThreadPool& CreateGlobalPool() {
+  std::lock_guard<std::mutex> lock(g_pool_mutex);
+  if (!g_pool_owner) {
+    g_pool_owner = std::make_unique<ThreadPool>(EnvInt64("STISAN_NUM_THREADS", 0));
+    g_pool.store(g_pool_owner.get(), std::memory_order_release);
+  }
+  return *g_pool_owner;
+}
+
+}  // namespace
+
+ThreadPool& GlobalPool() {
+  ThreadPool* pool = g_pool.load(std::memory_order_acquire);
+  return pool != nullptr ? *pool : CreateGlobalPool();
+}
+
+int64_t NumThreads() { return GlobalPool().num_threads(); }
+
+void SetNumThreads(int64_t threads) {
+  std::lock_guard<std::mutex> lock(g_pool_mutex);
+  g_pool_owner = std::make_unique<ThreadPool>(threads);
+  g_pool.store(g_pool_owner.get(), std::memory_order_release);
+}
+
+GlobalPoolStats ReadGlobalPoolStats() {
+  std::lock_guard<std::mutex> lock(g_pool_mutex);
+  if (!g_pool_owner) return {};
+  return {g_pool_owner->tasks_submitted(), g_pool_owner->tasks_completed(),
+          g_pool_owner->num_threads()};
 }
 
 }  // namespace stisan

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <functional>
 #include <set>
+#include <string>
 #include <unordered_set>
 #include <utility>
 
@@ -11,6 +13,7 @@
 #include "data/types.h"
 #include "geo/geo.h"
 #include "util/crc32.h"
+#include "util/thread_pool.h"
 
 namespace stisan::data {
 namespace {
@@ -164,13 +167,49 @@ TEST(SplitTest, LongSequencesSplitFromEnd) {
 
 // ---- Synthetic ---------------------------------------------------------------------
 
-TEST(SyntheticTest, DeterministicForSeed) {
-  auto cfg = GowallaLikeConfig(0.05);
-  auto a = GenerateSynthetic(cfg);
-  auto b = GenerateSynthetic(cfg);
+// Users are generated in parallel on the process-wide pool; the output must
+// not depend on its size. Runs `body` at each size, then restores the pool.
+void ForEachPoolSize(const std::function<void(int64_t)>& body) {
+  const int64_t original = NumThreads();
+  for (int64_t threads : {1, 2, 4}) {
+    SCOPED_TRACE("pool threads = " + std::to_string(threads));
+    SetNumThreads(threads);
+    body(threads);
+  }
+  SetNumThreads(original);
+}
+
+void ExpectSameDataset(const Dataset& a, const Dataset& b) {
   EXPECT_EQ(a.name, b.name);
   EXPECT_EQ(a.poi_coords, b.poi_coords);
   EXPECT_EQ(a.user_seqs, b.user_seqs);
+}
+
+TEST(SyntheticTest, DeterministicForSeed) {
+  const auto cfg = GowallaLikeConfig(0.05);
+  Dataset serial;
+  ForEachPoolSize([&](int64_t threads) {
+    const Dataset a = GenerateSynthetic(cfg);
+    const Dataset b = GenerateSynthetic(cfg);
+    ExpectSameDataset(a, b);
+    if (threads == 1) serial = a;
+    ExpectSameDataset(a, serial);
+  });
+}
+
+TEST(SyntheticTest, GeneratingInsideAPoolTaskMatchesTopLevel) {
+  // Inside a pool task the generator's ParallelFor runs inline; it must
+  // neither deadlock nor change the output.
+  const auto cfg = MetroScaleConfig(0.2);
+  const int64_t original = NumThreads();
+  SetNumThreads(4);
+  const Dataset top_level = GenerateSynthetic(cfg);
+  std::vector<Dataset> nested(2);
+  ParallelFor(GlobalPool(), 2, [&](int64_t i) {
+    nested[static_cast<size_t>(i)] = GenerateSynthetic(cfg);
+  });
+  SetNumThreads(original);
+  for (const Dataset& ds : nested) ExpectSameDataset(ds, top_level);
 }
 
 // CRC-32 over every POI coordinate and every (poi, timestamp) check-in.
@@ -191,7 +230,7 @@ uint32_t DatasetCrc(const Dataset& ds) {
 
 // The generator's output is a pinned artifact (DESIGN.md §2): golden metrics
 // and benchmark quality metrics are computed on it, so any change to the
-// generator must reproduce these datasets bit for bit.
+// generator must reproduce these datasets bit for bit, at any pool size.
 TEST(SyntheticTest, OutputPinned) {
   const std::pair<SyntheticConfig, uint32_t> pinned[] = {
       {GowallaLikeConfig(1.0), 0x8dd4d288u},
@@ -200,12 +239,14 @@ TEST(SyntheticTest, OutputPinned) {
       {ChangchunLikeConfig(1.0), 0x7eb8adbbu},
       {MetroScaleConfig(0.2), 0x824db821u},
   };
-  for (const auto& [cfg, crc] : pinned) {
-    const Dataset ds = GenerateSynthetic(cfg);
-    EXPECT_EQ(DatasetCrc(ds), crc)
-        << cfg.name << ": " << ds.num_pois() << " POIs, "
-        << ds.num_checkins() << " check-ins";
-  }
+  ForEachPoolSize([&](int64_t) {
+    for (const auto& [cfg, crc] : pinned) {
+      const Dataset ds = GenerateSynthetic(cfg);
+      EXPECT_EQ(DatasetCrc(ds), crc)
+          << cfg.name << ": " << ds.num_pois() << " POIs, "
+          << ds.num_checkins() << " check-ins";
+    }
+  });
 }
 
 TEST(SyntheticTest, ChronologicalAndInRange) {

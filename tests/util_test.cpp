@@ -6,6 +6,7 @@
 #include <set>
 #include <stdexcept>
 #include <thread>
+#include <vector>
 
 #include "util/rng.h"
 #include "util/status.h"
@@ -392,6 +393,47 @@ TEST(ParallelForTest, InlineChunkExceptionPropagatesDirectly) {
   EXPECT_THROW(
       ParallelFor(pool, 1, [](int64_t) { throw std::runtime_error("x"); }),
       std::runtime_error);
+}
+
+// ---- Nesting and the process-wide pool ---------------------------------------
+
+TEST(ParallelForTest, NestedOnSamePoolRunsInlineInsteadOfDeadlocking) {
+  // Wait() counts the calling task as in flight, so an inner ParallelFor
+  // that submitted to its own pool from a worker would never return.
+  ThreadPool pool(4);
+  EXPECT_FALSE(InPoolTask());
+  std::vector<std::atomic<int64_t>> sums(8);
+  std::atomic<int> off_task_thread{0};
+  ParallelFor(pool, 8, [&](int64_t outer) {
+    EXPECT_TRUE(InPoolTask());
+    const std::thread::id task_thread = std::this_thread::get_id();
+    ParallelFor(pool, 100, [&](int64_t inner) {
+      if (std::this_thread::get_id() != task_thread) off_task_thread++;
+      sums[static_cast<size_t>(outer)] += inner;
+    });
+  });
+  for (const auto& sum : sums) EXPECT_EQ(sum.load(), 100 * 99 / 2);
+  EXPECT_EQ(off_task_thread.load(), 0);
+  EXPECT_FALSE(InPoolTask());
+}
+
+TEST(GlobalPoolTest, SetNumThreadsResizesAndStatsFollowTheLivePool) {
+  const int64_t original = NumThreads();
+  SetNumThreads(3);
+  EXPECT_EQ(NumThreads(), 3);
+  EXPECT_EQ(&GlobalPool(), &GlobalPool());
+  std::atomic<int64_t> sum{0};
+  ParallelFor(GlobalPool(), 30, [&sum](int64_t i) { sum += i; });
+  EXPECT_EQ(sum.load(), 30 * 29 / 2);
+  const GlobalPoolStats stats = ReadGlobalPoolStats();
+  EXPECT_EQ(stats.num_threads, 3);
+  EXPECT_EQ(stats.tasks_submitted, stats.tasks_completed);
+  EXPECT_GT(stats.tasks_submitted, 0u);
+  // A fresh pool starts its lifetime totals at zero.
+  SetNumThreads(2);
+  EXPECT_EQ(ReadGlobalPoolStats().num_threads, 2);
+  EXPECT_EQ(ReadGlobalPoolStats().tasks_submitted, 0u);
+  SetNumThreads(original);
 }
 
 }  // namespace

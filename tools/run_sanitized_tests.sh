@@ -6,11 +6,11 @@
 #
 # Uses the asan/ubsan/tsan presets from CMakePresets.json (build trees
 # build-asan/, build-ubsan/ and build-tsan/); the asan/ubsan test presets
-# run the "unit", "robustness", "fused", "obs", "serve", "quant" and
-# "ranking" labels, skipping the end-to-end CLI/tool smoke tests whose sanitized
-# runtimes are excessive on one core. The tsan preset runs only the
-# concurrency-heavy "serve" and "obs" labels — the memory-safety gates
-# add nothing under TSan and its runtime overhead is the largest.
+# run the "unit", "robustness", "fused", "obs", "serve", "quant", "ranking"
+# and "pool" labels, skipping the end-to-end CLI/tool smoke tests whose
+# sanitized runtimes are excessive on one core. The tsan preset runs only
+# the concurrency-heavy "serve", "obs" and "pool" labels — the memory-safety
+# gates add nothing under TSan and its runtime overhead is the largest.
 #
 # After the unit pass, the "robustness" suite (fault-injection sweeps,
 # checkpoint fuzzing, kill/resume determinism) and the "fused" suite
@@ -31,10 +31,11 @@ for preset in "${presets[@]}"; do
   echo "==== ${preset}: ctest (unit) ===="
   ctest --preset "${preset}"
   if [[ "${preset}" == "tsan" ]]; then
-    # The tsan test preset already covers its whole scope (serve|obs):
+    # The tsan test preset already covers its whole scope (serve|obs|pool):
     # worker-thread handoffs, admission blocking/shedding, shutdown
-    # promise sweeps and the lock-free metrics registry. The remaining
-    # gates are memory-safety sweeps; skip them under TSan.
+    # promise sweeps, the lock-free metrics registry, nested ParallelFor
+    # and the parallel synthetic generator at pool sizes {1, 2, 4}. The
+    # remaining gates are memory-safety sweeps; skip them under TSan.
     continue
   fi
   echo "==== ${preset}: ctest (robustness gate) ===="
