@@ -1,11 +1,33 @@
 // Microbenchmarks for the geographic substrate (google-benchmark).
+//
+// Besides the primitives, three rows run the k-NN shapes the benchmark
+// workloads run, on the datasets they use:
+//   BM_EvalCandidates99      eval::CandidateGenerator::Candidates(99) on
+//                            the Gowalla-like preset, 30 visited POIs
+//                            excluded (serve_stream request preparation)
+//   BM_MetroPool500          stage-one pool of 500 on the 1e5-POI metro
+//                            city with a 30-POI visited filter
+//                            (catalog_city's RankCatalog)
+//   BM_KnnSamplerBuild/T     train::KnnNegativeSampler(200) build on the
+//                            Gowalla-like preset at T pool threads
+//                            (offline_paper's model init)
+// Compare runs with --benchmark_repetitions (5 by default here) and the
+// real-time aggregates.
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <vector>
+
+#include "data/synthetic.h"
+#include "eval/evaluator.h"
+#include "geo/candidate_gen.h"
 #include "geo/geo.h"
 #include "geo/quadkey.h"
 #include "geo/spatial_index.h"
+#include "train/negative_sampler.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace stisan::geo {
 namespace {
@@ -67,6 +89,96 @@ void BM_WithinRadius(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_WithinRadius)->UseRealTime();
+
+// ---- Workload shapes ----------------------------------------------------------
+
+constexpr int kVisited = 30;
+
+const data::Dataset& GowallaLike() {
+  static const data::Dataset ds =
+      data::GenerateSynthetic(data::GowallaLikeConfig(1.0));
+  return ds;
+}
+
+const data::Dataset& Metro() {
+  static const data::Dataset ds =
+      data::GenerateSynthetic(data::MetroScaleConfig(1.0));
+  return ds;
+}
+
+// One instance per user with at least kVisited + 1 check-ins: the first
+// kVisited are visited, the next one is the target.
+std::vector<data::EvalInstance> VisitedInstances(const data::Dataset& ds) {
+  std::vector<data::EvalInstance> out;
+  for (const auto& seq : ds.user_seqs) {
+    if (seq.size() <= static_cast<size_t>(kVisited)) continue;
+    data::EvalInstance inst;
+    for (int j = 0; j < kVisited; ++j) {
+      inst.visited.push_back(seq[static_cast<size_t>(j)].poi);
+    }
+    inst.target = seq[static_cast<size_t>(kVisited)].poi;
+    out.push_back(std::move(inst));
+  }
+  return out;
+}
+
+void BM_EvalCandidates99(benchmark::State& state) {
+  const data::Dataset& ds = GowallaLike();
+  const eval::CandidateGenerator gen(ds);
+  const auto instances = VisitedInstances(ds);
+  size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(gen.Candidates(instances[i], 99));
+    i = (i + 1) % instances.size();
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_EvalCandidates99)->UseRealTime()->Repetitions(5);
+
+void BM_MetroPool500(benchmark::State& state) {
+  const data::Dataset& ds = Metro();
+  const SpatialGridIndex index(std::vector<GeoPoint>(
+      ds.poi_coords.begin() + 1, ds.poi_coords.end()));
+  CandidatePoolOptions options;
+  options.pool_size = 500;
+  const CandidateGenerator gen(index, options);
+  const auto instances = VisitedInstances(ds);
+  // Per query, as serve::RecommendService does it: the visited index ids
+  // (poi - 1) sorted into reused scratch, then stage one around the last.
+  std::vector<int64_t> visited;
+  SpatialGridIndex::QueryScratch scratch;
+  std::vector<int64_t> pool;
+  size_t i = 0;
+  for (auto _ : state) {
+    const data::EvalInstance& inst = instances[i];
+    visited.clear();
+    for (int64_t poi : inst.visited) visited.push_back(poi - 1);
+    std::sort(visited.begin(), visited.end());
+    gen.Generate(ds.poi_location(inst.visited.back()),
+                 RejectSortedIds{visited}, &scratch, &pool);
+    benchmark::DoNotOptimize(pool.data());
+    i = (i + 1) % instances.size();
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_MetroPool500)->UseRealTime()->Repetitions(5);
+
+void BM_KnnSamplerBuild(benchmark::State& state) {
+  const data::Dataset& ds = GowallaLike();
+  const int64_t original = NumThreads();
+  SetNumThreads(state.range(0));
+  for (auto _ : state) {
+    train::KnnNegativeSampler sampler(ds, 200);
+    benchmark::DoNotOptimize(&sampler);
+  }
+  SetNumThreads(original);
+}
+BENCHMARK(BM_KnnSamplerBuild)
+    ->UseRealTime()
+    ->Repetitions(5)
+    ->Unit(benchmark::kMillisecond)
+    ->Arg(1)
+    ->Arg(4);
 
 }  // namespace
 }  // namespace stisan::geo

@@ -224,7 +224,7 @@ void BM_CandidateGeneration(benchmark::State& state) {
   for (const auto& inst : fx.split.test) {
     queries.push_back(fx.dataset.poi_location(inst.poi.back()));
   }
-  const geo::CandidateGenerator::BatchAcceptFn accept =
+  const auto accept =
       [](int64_t, int64_t) { return true; };
   std::vector<std::vector<int64_t>> pools;
   for (auto _ : state) {

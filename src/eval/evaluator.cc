@@ -1,7 +1,6 @@
 #include "eval/evaluator.h"
 
 #include <algorithm>
-#include <unordered_set>
 
 #include "obs/metrics.h"
 #include "tensor/kernels.h"
@@ -42,17 +41,26 @@ CandidateGenerator::CandidateGenerator(const data::Dataset& dataset)
 
 std::vector<int64_t> CandidateGenerator::Candidates(
     const data::EvalInstance& instance, int64_t num_negatives) const {
-  std::unordered_set<int64_t> excluded(instance.visited.begin(),
-                                       instance.visited.end());
-  excluded.insert(instance.target);
-  const geo::GeoPoint& target_loc = dataset_.poi_location(instance.target);
-  auto nearest = index_.KNearest(
-      target_loc, num_negatives,
-      [&excluded](int64_t id) { return !excluded.contains(id + 1); });
+  // Per-thread scratch keeps the call pure and allocation-free at steady
+  // state: the k-NN heap, the result buffer and the excluded index ids
+  // (visited POIs and the target, poi - 1), sorted.
+  thread_local struct {
+    geo::SpatialGridIndex::QueryScratch query;
+    std::vector<int64_t> excluded;
+    std::vector<int64_t> nearest;
+  } scratch;
+  std::vector<int64_t>& excluded = scratch.excluded;
+  excluded.clear();
+  for (int64_t poi : instance.visited) excluded.push_back(poi - 1);
+  excluded.push_back(instance.target - 1);
+  std::sort(excluded.begin(), excluded.end());
+  index_.KNearestInto(dataset_.poi_location(instance.target), num_negatives,
+                      geo::RejectSortedIds{excluded}, &scratch.query,
+                      &scratch.nearest);
   std::vector<int64_t> out;
-  out.reserve(nearest.size() + 1);
+  out.reserve(scratch.nearest.size() + 1);
   out.push_back(instance.target);
-  for (int64_t id : nearest) out.push_back(id + 1);
+  for (int64_t id : scratch.nearest) out.push_back(id + 1);
   return out;
 }
 

@@ -70,7 +70,7 @@ PrunedRankingResult PrunedRankingEvaluate(
         queries[static_cast<size_t>(i)] = dataset.poi_location(last_poi);
       }
     }
-    const geo::CandidateGenerator::BatchAcceptFn accept =
+    const auto accept =
         [&](int64_t i, int64_t id) {
           if (has_query[static_cast<size_t>(i)] == 0) return false;
           const int64_t poi = id + 1;

@@ -12,27 +12,10 @@ CandidateGenerator::CandidateGenerator(const SpatialGridIndex& index,
   STISAN_CHECK(options_.pool_size > 0 || options_.radius_km > 0.0);
 }
 
-void CandidateGenerator::Generate(
-    const GeoPoint& query, const std::function<bool(int64_t)>& accept,
-    SpatialGridIndex::QueryScratch* scratch,
-    std::vector<int64_t>* out) const {
-  if (options_.radius_km > 0.0) {
-    index_.WithinRadiusInto(query, options_.radius_km, out);
-    if (accept) {
-      out->erase(std::remove_if(out->begin(), out->end(),
-                                [&accept](int64_t id) { return !accept(id); }),
-                 out->end());
-    }
-    return;
-  }
-  index_.KNearestInto(query, options_.pool_size, accept, scratch, out);
-}
-
-void CandidateGenerator::GenerateBatch(
-    const std::vector<GeoPoint>& queries, const BatchAcceptFn& accept,
-    ThreadPool* pool, std::vector<std::vector<int64_t>>* pools) const {
-  const int64_t n = static_cast<int64_t>(queries.size());
-  pools->resize(static_cast<size_t>(n));
+void CandidateGenerator::ForEachQuery(
+    int64_t n, ThreadPool* pool,
+    const std::function<void(int64_t, SpatialGridIndex::QueryScratch*)>&
+        query) const {
   if (n == 0) return;
   const int64_t workers =
       pool == nullptr ? 1
@@ -41,24 +24,12 @@ void CandidateGenerator::GenerateBatch(
     scratch_.push_back(std::make_unique<SpatialGridIndex::QueryScratch>());
   }
   // Contiguous ranges, one scratch each; every pool slot is written by
-  // exactly one worker, so the output is thread-count independent. The
-  // per-query accept closure captures (accept*, i) only — small enough for
-  // std::function's inline storage, so no per-query heap traffic.
+  // exactly one worker, so the output is thread-count independent.
   const int64_t chunk = (n + workers - 1) / workers;
-  auto run_range = [this, &queries, &accept, pools](int64_t slot,
-                                                    int64_t begin,
-                                                    int64_t end) {
+  auto run_range = [this, &query](int64_t slot, int64_t begin, int64_t end) {
     SpatialGridIndex::QueryScratch* scratch =
         scratch_[static_cast<size_t>(slot)].get();
-    for (int64_t i = begin; i < end; ++i) {
-      std::function<bool(int64_t)> accept_i;
-      if (accept) {
-        const BatchAcceptFn* fn = &accept;
-        accept_i = [fn, i](int64_t id) { return (*fn)(i, id); };
-      }
-      Generate(queries[static_cast<size_t>(i)], accept_i, scratch,
-               &(*pools)[static_cast<size_t>(i)]);
-    }
+    for (int64_t i = begin; i < end; ++i) query(i, scratch);
   };
   if (workers == 1) {
     run_range(0, 0, n);

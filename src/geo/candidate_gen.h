@@ -15,6 +15,7 @@
 
 #pragma once
 
+#include <concepts>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -36,36 +37,58 @@ struct CandidatePoolOptions {
 
 class CandidateGenerator {
  public:
-  /// Per-query accept filter for the batched variant: (query index in the
-  /// batch, point id) -> keep? nullptr accepts everything.
-  using BatchAcceptFn = std::function<bool(int64_t, int64_t)>;
-
   /// The index must outlive the generator.
   CandidateGenerator(const SpatialGridIndex& index,
                      CandidatePoolOptions options);
 
-  /// Fills `out` with the pool for one query. `scratch` (and `out`) are
+  /// Fills `out` with the pool for one query. `accept` is any callable
+  /// bool(int64_t point id), bound statically. `scratch` (and `out`) are
   /// caller-owned and reused across calls — the allocation-free path.
-  void Generate(const GeoPoint& query,
-                const std::function<bool(int64_t)>& accept,
+  template <typename Accept>
+    requires std::predicate<const Accept&, int64_t>
+  void Generate(const GeoPoint& query, const Accept& accept,
                 SpatialGridIndex::QueryScratch* scratch,
-                std::vector<int64_t>* out) const;
+                std::vector<int64_t>* out) const {
+    if (options_.radius_km > 0.0) {
+      index_.WithinRadiusInto(query, options_.radius_km, out);
+      std::erase_if(*out, [&accept](int64_t id) { return !accept(id); });
+      return;
+    }
+    index_.KNearestInto(query, options_.pool_size, accept, scratch, out);
+  }
 
   /// Batched stage one: fills (*pools)[i] with the pool for queries[i],
-  /// thread-pooled over contiguous query ranges of `pool` (pass
-  /// kernels::GlobalPool(); nullptr runs serially). `pools` is resized to
-  /// the batch; existing vector capacity is reused. Not reentrant:
-  /// concurrent GenerateBatch calls on the same generator must be
-  /// externally serialised (the per-range scratch buffers are shared
-  /// state).
+  /// keeping the points for which accept(i, id) is true, thread-pooled over
+  /// contiguous query ranges of `pool` (pass GlobalPool(); nullptr runs
+  /// serially). `pools` is resized to the batch; existing vector capacity
+  /// is reused. Not reentrant: concurrent GenerateBatch calls on the same
+  /// generator must be externally serialised (the per-range scratch
+  /// buffers are shared state).
+  template <typename BatchAccept>
+    requires std::predicate<const BatchAccept&, int64_t, int64_t>
   void GenerateBatch(const std::vector<GeoPoint>& queries,
-                     const BatchAcceptFn& accept, ThreadPool* pool,
-                     std::vector<std::vector<int64_t>>* pools) const;
+                     const BatchAccept& accept, ThreadPool* pool,
+                     std::vector<std::vector<int64_t>>* pools) const {
+    pools->resize(queries.size());
+    ForEachQuery(static_cast<int64_t>(queries.size()), pool,
+                 [&](int64_t i, SpatialGridIndex::QueryScratch* scratch) {
+                   Generate(queries[static_cast<size_t>(i)],
+                            [&accept, i](int64_t id) { return accept(i, id); },
+                            scratch, &(*pools)[static_cast<size_t>(i)]);
+                 });
+  }
 
   const SpatialGridIndex& index() const { return index_; }
   const CandidatePoolOptions& options() const { return options_; }
 
  private:
+  /// Runs query(i, scratch) for every i in [0, n), over contiguous ranges
+  /// of `pool` (serially when null) with one scratch per range.
+  void ForEachQuery(
+      int64_t n, ThreadPool* pool,
+      const std::function<void(int64_t, SpatialGridIndex::QueryScratch*)>&
+          query) const;
+
   const SpatialGridIndex& index_;
   CandidatePoolOptions options_;
   /// One scratch per worker range, grown lazily and reused across batches.

@@ -11,13 +11,19 @@ constexpr double kDegToRad = M_PI / 180.0;
 }  // namespace
 
 double HaversineKm(const GeoPoint& a, const GeoPoint& b) {
-  const double lat1 = a.lat * kDegToRad;
+  return HaversineFrom(a).Km(b);
+}
+
+HaversineFrom::HaversineFrom(const GeoPoint& origin)
+    : origin_(origin), cos_lat_(std::cos(origin.lat * kDegToRad)) {}
+
+double HaversineFrom::Km(const GeoPoint& b) const {
   const double lat2 = b.lat * kDegToRad;
-  const double dlat = (b.lat - a.lat) * kDegToRad;
-  const double dlon = (b.lon - a.lon) * kDegToRad;
+  const double dlat = (b.lat - origin_.lat) * kDegToRad;
+  const double dlon = (b.lon - origin_.lon) * kDegToRad;
   const double s1 = std::sin(dlat / 2.0);
   const double s2 = std::sin(dlon / 2.0);
-  const double h = s1 * s1 + std::cos(lat1) * std::cos(lat2) * s2 * s2;
+  const double h = s1 * s1 + cos_lat_ * std::cos(lat2) * s2 * s2;
   return 2.0 * kEarthRadiusKm * std::asin(std::min(1.0, std::sqrt(h)));
 }
 

@@ -21,6 +21,19 @@ struct GeoPoint {
 /// Great-circle distance between two points, in kilometres (paper eq. 4).
 double HaversineKm(const GeoPoint& a, const GeoPoint& b);
 
+/// HaversineKm from one origin to many points, with the origin's cosine
+/// computed once. HaversineKm is defined through it, so the two agree bit
+/// for bit.
+class HaversineFrom {
+ public:
+  explicit HaversineFrom(const GeoPoint& origin);
+  double Km(const GeoPoint& b) const;
+
+ private:
+  GeoPoint origin_;
+  double cos_lat_;
+};
+
 /// Returns a point displaced from `origin` by the given offsets (km) along
 /// the north and east axes. Accurate for city-scale displacements.
 GeoPoint OffsetKm(const GeoPoint& origin, double north_km, double east_km);

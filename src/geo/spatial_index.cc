@@ -129,64 +129,12 @@ void SpatialGridIndex::KNearestInto(
     const GeoPoint& query, int64_t k,
     const std::function<bool(int64_t)>& accept, QueryScratch* scratch,
     std::vector<int64_t>* out) const {
-  out->clear();
-  if (k <= 0 || points_.empty()) return;
-  // Expanding ring search: examine cells in increasing Chebyshev ring order
-  // around the query cell; stop when the found set is full and the next
-  // ring cannot contain anything closer.
-  const int64_t qr = CellRow(query.lat);
-  const int64_t qc = CellCol(query.lon);
-
-  auto& heap = scratch->heap;  // max-heap of the best k (distance, id)
-  heap.clear();
-
-  const int64_t max_ring = std::max(rows_, cols_);
-  for (int64_t ring = 0; ring <= max_ring; ++ring) {
-    if (static_cast<int64_t>(heap.size()) == k &&
-        heap.front().first < RingLowerBoundKm(ring)) {
-      break;
-    }
-    bool ring_in_bounds = false;
-    for (int64_t dr = -ring; dr <= ring; ++dr) {
-      const int64_t r = qr + dr;
-      if (r < 0 || r >= rows_) continue;
-      // Interior rows visit only the two rim columns; the top and bottom
-      // rows sweep the full [-ring, ring] span.
-      const int64_t dc_step =
-          (std::llabs(dr) == ring || ring == 0) ? 1 : 2 * ring;
-      for (int64_t dc = -ring; dc <= ring; dc += dc_step) {
-        const int64_t c = qc + dc;
-        if (c < 0 || c >= cols_) continue;
-        ring_in_bounds = true;
-        const CellSpan span = Cell(r, c);
-        for (const int64_t* it = span.begin; it != span.end; ++it) {
-          const int64_t id = *it;
-          if (accept && !accept(id)) continue;
-          const double dist =
-              HaversineKm(query, points_[static_cast<size_t>(id)]);
-          if (static_cast<int64_t>(heap.size()) < k) {
-            heap.emplace_back(dist, id);
-            std::push_heap(heap.begin(), heap.end());
-          } else if (dist < heap.front().first) {
-            std::pop_heap(heap.begin(), heap.end());
-            heap.back() = {dist, id};
-            std::push_heap(heap.begin(), heap.end());
-          }
-        }
-      }
-    }
-    if (!ring_in_bounds && ring > 0 && qr - ring < 0 && qr + ring >= rows_ &&
-        qc - ring < 0 && qc + ring >= cols_) {
-      break;  // ring fully outside the grid
-    }
+  if (accept) {
+    KNearestInto<std::function<bool(int64_t)>>(query, k, accept, scratch,
+                                               out);
+  } else {
+    KNearestInto(query, k, AcceptAll{}, scratch, out);
   }
-
-  out->resize(heap.size());
-  for (size_t i = heap.size(); i-- > 0;) {
-    (*out)[i] = heap.front().second;
-    std::pop_heap(heap.begin(), heap.begin() + static_cast<int64_t>(i) + 1);
-  }
-  heap.clear();
 }
 
 std::vector<int64_t> SpatialGridIndex::WithinRadius(
@@ -220,13 +168,14 @@ void SpatialGridIndex::WithinRadiusInto(const GeoPoint& query,
   const int64_t ring_lon = scan_cells(radius_km, cell_km_lon, cols_);
   const int64_t qr = CellRow(query.lat);
   const int64_t qc = CellCol(query.lon);
+  const HaversineFrom distance(query);
   for (int64_t r = std::max<int64_t>(0, qr - ring_lat);
        r <= std::min(rows_ - 1, qr + ring_lat); ++r) {
     for (int64_t c = std::max<int64_t>(0, qc - ring_lon);
          c <= std::min(cols_ - 1, qc + ring_lon); ++c) {
       const CellSpan span = Cell(r, c);
       for (const int64_t* it = span.begin; it != span.end; ++it) {
-        const double d = HaversineKm(query, points_[static_cast<size_t>(*it)]);
+        const double d = distance.Km(points_[static_cast<size_t>(*it)]);
         if (d <= radius_km) {
           out->push_back(*it);
           if (dist_km != nullptr) dist_km->push_back(d);

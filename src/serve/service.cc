@@ -6,7 +6,6 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
-#include <unordered_set>
 #include <utility>
 
 #include "core/stisan.h"
@@ -578,13 +577,14 @@ bool RecommendService::GenerateCatalogPool(Op& op, const Session& session) {
                               std::to_string(last_poi)));
     return false;
   }
-  const std::unordered_set<int64_t> visited(session.pois.begin(),
-                                            session.pois.end());
+  std::vector<int64_t>& visited = catalog_visited_;
+  visited.clear();
+  for (int64_t poi : session.pois) visited.push_back(poi - 1);
+  std::sort(visited.begin(), visited.end());
   std::vector<int64_t> pool;
-  catalog_gen_->Generate(
-      (*options_.poi_coords)[static_cast<size_t>(last_poi)],
-      [&visited](int64_t id) { return !visited.contains(id + 1); },
-      &catalog_scratch_, &pool);
+  catalog_gen_->Generate((*options_.poi_coords)[static_cast<size_t>(last_poi)],
+                         geo::RejectSortedIds{visited}, &catalog_scratch_,
+                         &pool);
   m.catalog_pool_size.Observe(static_cast<double>(pool.size()));
   op.candidates.clear();
   op.candidates.reserve(pool.size());

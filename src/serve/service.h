@@ -303,10 +303,12 @@ class RecommendService {
   SessionStore store_;
   /// Catalog ranking stage one (built iff options.poi_coords is set);
   /// index id = poi - 1. Only the single worker (or Pump caller) touches
-  /// the scratch.
+  /// the scratch: the k-NN heap and the session's sorted visited index
+  /// ids.
   std::unique_ptr<geo::SpatialGridIndex> catalog_index_;
   std::unique_ptr<geo::CandidateGenerator> catalog_gen_;
   geo::SpatialGridIndex::QueryScratch catalog_scratch_;
+  std::vector<int64_t> catalog_visited_;
 
   std::mutex mu_;
   std::condition_variable work_cv_;

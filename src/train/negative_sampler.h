@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <unordered_set>
 #include <vector>
 
@@ -43,7 +44,8 @@ class UniformNegativeSampler : public NegativeSampler {
 
 /// Draws negatives uniformly from the target's `neighborhood` nearest POIs
 /// (GeoSAN's importance-based sampling, paper §III-H). Neighbour lists are
-/// precomputed once per dataset.
+/// precomputed once per dataset, one POI per task on the process pool; the
+/// lists are identical at any pool size.
 class KnnNegativeSampler : public NegativeSampler {
  public:
   /// `neighborhood` = how many nearest POIs form the candidate pool
@@ -54,10 +56,17 @@ class KnnNegativeSampler : public NegativeSampler {
                               const std::unordered_set<int64_t>& exclude,
                               Rng& rng) const override;
 
+  /// The nearest min(neighborhood, P - 1) other POIs of `poi` in 1..P,
+  /// ascending by (distance, id).
+  std::span<const int64_t> neighbors(int64_t poi) const;
+
  private:
   int64_t num_pois_;
-  int64_t neighborhood_;
-  std::vector<std::vector<int64_t>> neighbors_;  // [poi] -> nearest poi ids
+  /// Every POI has the same number of neighbours, so the lists are rows of
+  /// one flat array: row p holds POI p's list (row 0, the padding POI, is
+  /// unused).
+  int64_t width_ = 0;
+  std::vector<int64_t> neighbors_;
 };
 
 }  // namespace stisan::train

@@ -3,6 +3,10 @@
 //  - Property tests: SpatialGridIndex KNearest / WithinRadius against
 //    brute force over fuzzed point sets (clustered, collinear,
 //    high-latitude, sparse-filter, k > accepted count).
+//  - Id-for-id oracle: KNearest returns the first k accepted points in
+//    ascending (HaversineKm, id) order at every cell size, over duplicate
+//    coordinates, the antimeridian, polar latitudes and queries outside
+//    the bounding box; equidistant ties break by id.
 //  - Regression: the KNearest early-exit lower bound must account for
 //    longitudinal cell width. The former bound used only the latitude
 //    cell height, which overestimates the distance to the next ring
@@ -23,7 +27,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <set>
+#include <string>
 #include <unordered_set>
 #include <vector>
 
@@ -173,6 +179,167 @@ TEST(KnnPropertyTest, AcceptFilterRejectingMostPoints) {
   }
 }
 
+// Point sets for the id-for-id oracle, each aimed at one edge of the pruned
+// k-NN kernel: exact distance ties, the antimeridian fold, cos(lat) near 0,
+// and queries outside the grid's bounding box.
+struct OracleSet {
+  std::string name;
+  std::vector<GeoPoint> points;
+  std::vector<GeoPoint> queries;
+};
+
+std::vector<OracleSet> MakeOracleSets() {
+  Rng rng(2024);
+  std::vector<OracleSet> sets;
+  {
+    OracleSet s{"duplicates", {}, {}};
+    const GeoPoint center{43.88, 125.35};
+    for (int i = 0; i < 150; ++i) {
+      const GeoPoint p =
+          OffsetKm(center, rng.Normal(0, 3.0), rng.Normal(0, 3.0));
+      for (int dup = 0; dup < 4; ++dup) s.points.push_back(p);
+    }
+    s.queries = {s.points[0], s.points[301], center};
+    sets.push_back(std::move(s));
+  }
+  {
+    // Mirror images across the query meridian, at dyadic offsets so both
+    // lon differences are exact: pairs at bit-identical distances that land
+    // in different cells, the higher id on the side scanned first.
+    OracleSet s{"mirrored_ties", {}, {}};
+    const double step = 1.0 / 256.0;
+    for (int i = -5; i <= 5; ++i) {
+      for (int j = 1; j <= 12; ++j) {
+        s.points.push_back({10.0 + step * i, step * j});
+        s.points.push_back({10.0 + step * i, -step * j});
+      }
+    }
+    s.queries = {{10.0, 0.0}, {10.0 + step, 0.0}, {10.0 - 3 * step, 0.0}};
+    sets.push_back(std::move(s));
+  }
+  {
+    OracleSet s{"antimeridian", {}, {}};
+    for (int i = 0; i < 300; ++i) {
+      double lon = 179.8 + 0.4 * rng.Uniform();
+      if (lon > 180.0) lon -= 360.0;
+      s.points.push_back({80.0 + 0.3 * rng.Uniform(), lon});
+    }
+    s.queries = {{80.1, 180.0}, {80.2, -179.99}, s.points[5]};
+    sets.push_back(std::move(s));
+  }
+  {
+    OracleSet s{"polar", {}, {}};
+    for (int i = 0; i < 300; ++i) {
+      s.points.push_back({85.0 + 4.9 * rng.Uniform(), 40.0 * rng.Uniform()});
+    }
+    s.queries = {s.points[0], {89.99, 20.0}, {86.0, 39.0}};
+    sets.push_back(std::move(s));
+  }
+  {
+    OracleSet s{"query_outside_bbox", {}, {}};
+    const GeoPoint center{35.68, 139.69};
+    for (int i = 0; i < 300; ++i) {
+      s.points.push_back(
+          OffsetKm(center, rng.Normal(0, 4.0), rng.Normal(0, 4.0)));
+    }
+    s.queries = {{35.68, 141.0}, {37.0, 139.69}, {-10.0, 20.0}};
+    sets.push_back(std::move(s));
+  }
+  return sets;
+}
+
+TEST(KnnPropertyTest, IdForIdMatchesOracleAtEveryCellSize) {
+  // The kernel returns exactly the first k accepted points in ascending
+  // (HaversineKm, id) order: the same ids as the brute-force oracle,
+  // through the type-erased filter, a lambda and a sorted reject list, at
+  // every cell size.
+  const std::function<bool(int64_t)> reject_most = [](int64_t id) {
+    return id % 11 == 3;
+  };
+  for (const OracleSet& set : MakeOracleSets()) {
+    const int64_t n = static_cast<int64_t>(set.points.size());
+    // The same filter as a sorted reject list, some ids listed twice.
+    std::vector<int64_t> rejected;
+    for (int64_t id = 0; id < n; ++id) {
+      if (reject_most(id)) continue;
+      rejected.push_back(id);
+      if (id % 5 == 0) rejected.push_back(id);
+    }
+    for (double cell_km : {0.5, 2.0, 8.0}) {
+      SpatialGridIndex index(set.points, cell_km);
+      SpatialGridIndex::QueryScratch scratch;
+      std::vector<int64_t> out;
+      for (size_t qi = 0; qi < set.queries.size(); ++qi) {
+        const GeoPoint& q = set.queries[qi];
+        for (int64_t k : {int64_t{1}, int64_t{99}, int64_t{500}, n + 7}) {
+          const std::string context =
+              set.name + " cell=" + std::to_string(cell_km) +
+              " q=" + std::to_string(qi) + " k=" + std::to_string(k);
+          const auto all = BruteKnn(set.points, q, k, nullptr);
+          EXPECT_EQ(index.KNearest(q, k), all) << context;
+          index.KNearestInto(q, k, geo::AcceptAll{}, &scratch, &out);
+          EXPECT_EQ(out, all) << context;
+
+          const auto few = BruteKnn(set.points, q, k, reject_most);
+          EXPECT_EQ(index.KNearest(q, k, reject_most), few) << context;
+          index.KNearestInto(
+              q, k, [](int64_t id) { return id % 11 == 3; }, &scratch, &out);
+          EXPECT_EQ(out, few) << context;
+          index.KNearestInto(q, k, geo::RejectSortedIds{rejected}, &scratch,
+                             &out);
+          EXPECT_EQ(out, few) << context;
+        }
+      }
+    }
+  }
+}
+
+TEST(KnnRegressionTest, EquidistantPointsTieBreakByIdAtAnyCellSize) {
+  // Ids 0 and 1 are at bit-identical Haversine distance from the query.
+  // Replacement used to compare the distance alone, so which one survived
+  // depended on the order cells were visited in, i.e. on cell_km.
+  const std::vector<GeoPoint> pts = {{10.0, 0.015625}, {10.0, -0.015625}};
+  const GeoPoint query{10.0, 0.0};
+  ASSERT_EQ(HaversineKm(query, pts[0]), HaversineKm(query, pts[1]));
+  for (double cell_km : {0.5, 1.0, 2.0, 8.0, 50.0}) {
+    SpatialGridIndex index(pts, cell_km);
+    EXPECT_EQ(index.KNearest(query, 1), std::vector<int64_t>{0})
+        << "cell=" << cell_km;
+    EXPECT_EQ(index.KNearest(query, 2), (std::vector<int64_t>{0, 1}))
+        << "cell=" << cell_km;
+  }
+}
+
+TEST(KnnRegressionTest, PointBoundNeverExceedsComputedDistance) {
+  // The kernel skips a point when Key(p) > Cutoff(d_k); that is only exact
+  // if Key(p) <= Cutoff(HaversineKm(q, p)) for every pair, the computed
+  // distance included: coincident and near-coincident points, separations
+  // across the antimeridian, near-antipodal pairs and polar latitudes.
+  Rng rng(99);
+  const auto check = [](const GeoPoint& q, const GeoPoint& p) {
+    const double min_cos_lat =
+        std::max(0.0, std::cos(p.lat * (M_PI / 180.0)));
+    const geo::internal::HaversineLowerBound bound(q, min_cos_lat);
+    const double d = HaversineKm(q, p);
+    EXPECT_LE(bound.Key(p), geo::internal::HaversineLowerBound::Cutoff(d))
+        << geo::ToString(q) << " -> " << geo::ToString(p) << " d=" << d;
+  };
+  for (int i = 0; i < 20000; ++i) {
+    const GeoPoint q{-90.0 + 180.0 * rng.Uniform(),
+                     -180.0 + 360.0 * rng.Uniform()};
+    const double scale = std::pow(10.0, -12.0 + 14.0 * rng.Uniform());
+    GeoPoint p{std::clamp(q.lat + scale * rng.Normal(0, 1), -90.0, 90.0),
+               q.lon + scale * rng.Normal(0, 1)};
+    if (p.lon > 180.0) p.lon -= 360.0;
+    if (p.lon < -180.0) p.lon += 360.0;
+    check(q, p);
+    check(q, q);
+    check(q, {-q.lat, q.lon > 0.0 ? q.lon - 180.0 : q.lon + 180.0});
+    check({q.lat, 180.0 - 1e-9 * rng.Uniform()},
+          {p.lat, -180.0 + 1e-9 * rng.Uniform()});
+  }
+}
+
 TEST(KnnRegressionTest, HighLatitudeEarlyExitBound) {
   // Deterministic configuration on which the former latitude-only early
   // exit returned the wrong nearest neighbour. Grid latitude range
@@ -314,7 +481,7 @@ TEST(CandidateGenTest, BatchMatchesPerQueryAndIsThreadCountIndependent) {
   for (int i = 0; i < 37; ++i) {
     queries.push_back(pts[rng.UniformInt(static_cast<uint64_t>(pts.size()))]);
   }
-  const geo::CandidateGenerator::BatchAcceptFn accept =
+  const auto accept =
       [](int64_t qi, int64_t id) { return (id + qi) % 3 != 0; };
 
   std::vector<std::vector<int64_t>> serial;

@@ -1,12 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <unordered_set>
+#include <utility>
+#include <vector>
 
 #include "data/synthetic.h"
 #include "geo/geo.h"
 #include "train/loss.h"
 #include "train/negative_sampler.h"
+#include "util/thread_pool.h"
 
 namespace stisan::train {
 namespace {
@@ -113,6 +117,52 @@ TEST(KnnSamplerTest, NegativesComeFromNeighborhood) {
       EXPECT_NE(id, target);
       EXPECT_LE(geo::HaversineKm(target_loc, ds.poi_location(id)), radius);
     }
+  }
+}
+
+TEST(KnnSamplerTest, NeighborListsIdenticalAtAnyPoolSize) {
+  // The lists are built one POI per task on the process pool. They must not
+  // depend on the pool size, and building inside a pool task (where
+  // ParallelFor runs inline) must neither deadlock nor change them.
+  const auto ds = data::GenerateSynthetic(data::GowallaLikeConfig(0.2));
+  const int64_t k = 40;
+  const auto lists_of = [&ds](const KnnNegativeSampler& sampler) {
+    std::vector<std::vector<int64_t>> lists;
+    for (int64_t p = 1; p <= ds.num_pois(); ++p) {
+      const auto row = sampler.neighbors(p);
+      lists.emplace_back(row.begin(), row.end());
+    }
+    return lists;
+  };
+  const int64_t original = NumThreads();
+  SetNumThreads(1);
+  const auto reference = lists_of(KnnNegativeSampler(ds, k));
+  for (int64_t threads : {2, 4}) {
+    SetNumThreads(threads);
+    EXPECT_EQ(lists_of(KnnNegativeSampler(ds, k)), reference)
+        << "threads=" << threads;
+  }
+  std::vector<std::vector<std::vector<int64_t>>> nested(2);
+  ParallelFor(GlobalPool(), 2, [&](int64_t i) {
+    nested[static_cast<size_t>(i)] = lists_of(KnnNegativeSampler(ds, k));
+  });
+  SetNumThreads(original);
+  for (const auto& lists : nested) EXPECT_EQ(lists, reference);
+
+  // Each list is the k other POIs nearest by (distance, id), id for id.
+  for (int64_t p : {int64_t{1}, ds.num_pois() / 2, ds.num_pois()}) {
+    std::vector<std::pair<double, int64_t>> all;
+    for (int64_t q = 1; q <= ds.num_pois(); ++q) {
+      if (q == p) continue;
+      all.emplace_back(
+          geo::HaversineKm(ds.poi_location(p), ds.poi_location(q)), q);
+    }
+    std::sort(all.begin(), all.end());
+    std::vector<int64_t> expected;
+    for (int64_t i = 0; i < k; ++i) {
+      expected.push_back(all[static_cast<size_t>(i)].second);
+    }
+    EXPECT_EQ(reference[static_cast<size_t>(p - 1)], expected) << "poi " << p;
   }
 }
 

@@ -33,8 +33,9 @@ for preset in "${presets[@]}"; do
   if [[ "${preset}" == "tsan" ]]; then
     # The tsan test preset already covers its whole scope (serve|obs|pool):
     # worker-thread handoffs, admission blocking/shedding, shutdown
-    # promise sweeps, the lock-free metrics registry, nested ParallelFor
-    # and the parallel synthetic generator at pool sizes {1, 2, 4}. The
+    # promise sweeps, the lock-free metrics registry, nested ParallelFor,
+    # the parallel synthetic generator and the KNN negative sampler build
+    # at pool sizes {1, 2, 4}. The
     # remaining gates are memory-safety sweeps; skip them under TSan.
     continue
   fi
