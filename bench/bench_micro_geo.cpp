@@ -4,7 +4,16 @@
 // workloads run, on the datasets they use:
 //   BM_EvalCandidates99      eval::CandidateGenerator::Candidates(99) on
 //                            the Gowalla-like preset, 30 visited POIs
-//                            excluded (serve_stream request preparation)
+//                            excluded, one instance per user
+//   BM_EvalCandidatesStream  Candidates(99) over serve_stream's request
+//                            stream (every check-in after a 5-visit warm
+//                            prefix, in timestamp order, the next check-in
+//                            as target): repeated targets on a warm
+//                            generator, i.e. memoised-row walks
+//   BM_EvalCandidatesStreamCold
+//                            the stream's first request for each distinct
+//                            target on a fresh generator: the first-sight
+//                            cost (row build, then the walk)
 //   BM_MetroPool500          stage-one pool of 500 on the 1e5-POI metro
 //                            city with a 30-POI visited filter
 //                            (catalog_city's RankCatalog)
@@ -17,6 +26,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <memory>
 #include <vector>
 
 #include "data/synthetic.h"
@@ -134,6 +144,86 @@ void BM_EvalCandidates99(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_EvalCandidates99)->UseRealTime()->Repetitions(5);
+
+// serve_stream's request stream: every check-in after each user's
+// kWarmVisits-visit prefix that has a successor, in global timestamp
+// order; the successor is the target and the history so far is visited.
+constexpr size_t kWarmVisits = 5;
+
+std::vector<data::EvalInstance> StreamInstances(const data::Dataset& ds) {
+  struct Event {
+    size_t user, k;
+    double timestamp;
+  };
+  std::vector<Event> events;
+  for (size_t u = 0; u < ds.user_seqs.size(); ++u) {
+    const auto& seq = ds.user_seqs[u];
+    for (size_t k = kWarmVisits; k + 1 < seq.size(); ++k) {
+      events.push_back({u, k, seq[k].timestamp});
+    }
+  }
+  std::stable_sort(events.begin(), events.end(),
+                   [](const Event& a, const Event& b) {
+                     return a.timestamp < b.timestamp;
+                   });
+  std::vector<data::EvalInstance> out;
+  out.reserve(events.size());
+  for (const Event& ev : events) {
+    const auto& seq = ds.user_seqs[ev.user];
+    data::EvalInstance inst;
+    for (size_t j = 0; j <= ev.k; ++j) inst.visited.push_back(seq[j].poi);
+    inst.target = seq[ev.k + 1].poi;
+    out.push_back(std::move(inst));
+  }
+  return out;
+}
+
+void BM_EvalCandidatesStream(benchmark::State& state) {
+  const data::Dataset& ds = GowallaLike();
+  const eval::CandidateGenerator gen(ds);
+  const auto instances = StreamInstances(ds);
+  // One pass first, so every target has its row.
+  for (const auto& inst : instances) {
+    benchmark::DoNotOptimize(gen.Candidates(inst, 99));
+  }
+  size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(gen.Candidates(instances[i], 99));
+    i = (i + 1) % instances.size();
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.counters["requests"] = static_cast<double>(instances.size());
+}
+BENCHMARK(BM_EvalCandidatesStream)->UseRealTime()->Repetitions(5);
+
+void BM_EvalCandidatesStreamCold(benchmark::State& state) {
+  const data::Dataset& ds = GowallaLike();
+  std::vector<data::EvalInstance> first_sight;
+  std::vector<bool> seen(static_cast<size_t>(ds.num_pois()) + 1, false);
+  for (auto& inst : StreamInstances(ds)) {
+    if (seen[static_cast<size_t>(inst.target)]) continue;
+    seen[static_cast<size_t>(inst.target)] = true;
+    first_sight.push_back(std::move(inst));
+  }
+  for (auto _ : state) {
+    state.PauseTiming();
+    auto gen = std::make_unique<eval::CandidateGenerator>(ds);
+    state.ResumeTiming();
+    for (const auto& inst : first_sight) {
+      benchmark::DoNotOptimize(gen->Candidates(inst, 99));
+    }
+    state.PauseTiming();
+    gen.reset();
+    state.ResumeTiming();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(first_sight.size()));
+  state.counters["targets"] = static_cast<double>(first_sight.size());
+}
+BENCHMARK(BM_EvalCandidatesStreamCold)
+    ->UseRealTime()
+    ->Repetitions(5)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_MetroPool500(benchmark::State& state) {
   const data::Dataset& ds = Metro();

@@ -1,6 +1,9 @@
 #include "eval/evaluator.h"
 
+#include <sys/mman.h>
+
 #include <algorithm>
+#include <limits>
 
 #include "obs/metrics.h"
 #include "tensor/kernels.h"
@@ -13,6 +16,20 @@ namespace {
 std::vector<geo::GeoPoint> RealPoiCoords(const data::Dataset& dataset) {
   // Index id = poi - 1 (skips the padding POI 0).
   return {dataset.poi_coords.begin() + 1, dataset.poi_coords.end()};
+}
+
+// Per-thread scratch keeps Candidates allocation-free at steady state: the
+// k-NN heap, its result buffer and the excluded index ids (visited POIs and
+// the target, poi - 1), sorted.
+struct CandidateScratch {
+  geo::SpatialGridIndex::QueryScratch query;
+  std::vector<int64_t> excluded;
+  std::vector<int64_t> nearest;
+};
+
+CandidateScratch& ThreadScratch() {
+  thread_local CandidateScratch scratch;
+  return scratch;
 }
 
 /// Adapts a single-instance Scorer to the batched interface.
@@ -37,29 +54,79 @@ class ScorerAdapter : public BatchScorer {
 }  // namespace
 
 CandidateGenerator::CandidateGenerator(const data::Dataset& dataset)
-    : dataset_(dataset), index_(RealPoiCoords(dataset)) {}
+    : dataset_(dataset),
+      index_(RealPoiCoords(dataset)),
+      row_length_(std::min(kRowLength, index_.size())) {
+  const int64_t num_pois = index_.size();
+  STISAN_CHECK_LE(num_pois, std::numeric_limits<int32_t>::max());
+  if (num_pois == 0) return;
+  row_slots_ = std::make_unique<RowSlot[]>(static_cast<size_t>(num_pois));
+  // Room for a row per POI, reserved but not committed: only the pages the
+  // packed rows reach are ever touched, and they are unmapped (not kept by
+  // malloc) when the generator goes away.
+  const size_t bytes =
+      static_cast<size_t>(num_pois * row_length_) * sizeof(int32_t);
+  void* rows = mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                    MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+  STISAN_CHECK_MSG(rows != MAP_FAILED,
+                   "cannot map " << bytes << " bytes of candidate rows");
+  rows_ = std::unique_ptr<int32_t, Unmap>(static_cast<int32_t*>(rows),
+                                          Unmap{bytes});
+}
+
+void CandidateGenerator::Unmap::operator()(int32_t* rows) const {
+  munmap(rows, bytes);
+}
+
+std::span<const int32_t> CandidateGenerator::Row(int64_t target) const {
+  RowSlot& entry = row_slots_[static_cast<size_t>(target - 1)];
+  std::call_once(entry.once, [&] {
+    CandidateScratch& scratch = ThreadScratch();
+    index_.KNearestInto(dataset_.poi_location(target), row_length_,
+                        geo::AcceptAll{}, &scratch.query, &scratch.nearest);
+    entry.slot = rows_used_.fetch_add(1, std::memory_order_relaxed);
+    std::copy(scratch.nearest.begin(), scratch.nearest.end(),
+              rows_.get() + entry.slot * row_length_);
+  });
+  return {rows_.get() + entry.slot * row_length_,
+          static_cast<size_t>(row_length_)};
+}
 
 std::vector<int64_t> CandidateGenerator::Candidates(
     const data::EvalInstance& instance, int64_t num_negatives) const {
-  // Per-thread scratch keeps the call pure and allocation-free at steady
-  // state: the k-NN heap, the result buffer and the excluded index ids
-  // (visited POIs and the target, poi - 1), sorted.
-  thread_local struct {
-    geo::SpatialGridIndex::QueryScratch query;
-    std::vector<int64_t> excluded;
-    std::vector<int64_t> nearest;
-  } scratch;
+  const int64_t target = instance.target;
+  STISAN_CHECK_MSG(target >= 1 && target <= index_.size(),
+                   "target POI " << target << " is outside [1, "
+                                 << index_.size() << "]");
+  CandidateScratch& scratch = ThreadScratch();
   std::vector<int64_t>& excluded = scratch.excluded;
   excluded.clear();
   for (int64_t poi : instance.visited) excluded.push_back(poi - 1);
-  excluded.push_back(instance.target - 1);
+  excluded.push_back(target - 1);
   std::sort(excluded.begin(), excluded.end());
-  index_.KNearestInto(dataset_.poi_location(instance.target), num_negatives,
-                      geo::RejectSortedIds{excluded}, &scratch.query,
-                      &scratch.nearest);
+  const geo::RejectSortedIds accept{excluded};
+
+  // The row is a prefix of every POI in (HaversineKm, id) order, and the
+  // answer is the first accepted ids in that order: when the row holds
+  // enough of them they are exactly the filtered ring search's result.
+  const size_t want =
+      1 + static_cast<size_t>(std::max<int64_t>(0, num_negatives));
   std::vector<int64_t> out;
-  out.reserve(scratch.nearest.size() + 1);
-  out.push_back(instance.target);
+  out.reserve(std::min(want, static_cast<size_t>(row_length_) + 1));
+  out.push_back(target);
+  if (want == 1) return out;
+  for (int32_t id : Row(target)) {
+    if (!accept(id)) continue;
+    out.push_back(id + 1);
+    if (out.size() == want) return out;
+  }
+  // A row holding every POI has already said all there is to say;
+  // otherwise the exclusions (or num_negatives > kRowLength) ran past its
+  // end, and the ring search answers.
+  if (row_length_ == index_.size()) return out;
+  index_.KNearestInto(dataset_.poi_location(target), num_negatives, accept,
+                      &scratch.query, &scratch.nearest);
+  out.resize(1);
   for (int64_t id : scratch.nearest) out.push_back(id + 1);
   return out;
 }

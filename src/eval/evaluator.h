@@ -10,7 +10,12 @@
 
 #pragma once
 
+#include <atomic>
+#include <cstdint>
 #include <functional>
+#include <memory>
+#include <mutex>
+#include <span>
 #include <vector>
 
 #include "data/types.h"
@@ -22,21 +27,53 @@ namespace stisan::eval {
 
 /// Builds candidate lists: target first, then the num_negatives nearest
 /// previously-unvisited POIs around the target.
+///
+/// Each target's kRowLength nearest POIs are memoised on its first request
+/// (DESIGN.md §9), so a repeated target costs a walk over its row instead
+/// of a ring search. The answer is the same either way.
 class CandidateGenerator {
  public:
   explicit CandidateGenerator(const data::Dataset& dataset);
 
   /// Returns [target, neg_1, ..., neg_m] with m <= num_negatives (fewer on
   /// tiny POI sets). Negatives exclude the target and every POI in
-  /// instance.visited. Pure and thread-safe: safe to call concurrently.
+  /// instance.visited. The target must be a POI in [1, P]. Thread-safe:
+  /// safe to call concurrently, and the result depends only on the
+  /// arguments.
   std::vector<int64_t> Candidates(const data::EvalInstance& instance,
                                   int64_t num_negatives) const;
 
   const geo::SpatialGridIndex& index() const { return index_; }
 
  private:
+  /// Length of a memoised row. A serve_stream request needs at most 134
+  /// to find 99 unvisited negatives, so no request there falls back to the
+  /// ring search (DESIGN.md §9).
+  static constexpr int64_t kRowLength = 160;
+
+  /// Unmaps the row storage.
+  struct Unmap {
+    size_t bytes;
+    void operator()(int32_t* rows) const;
+  };
+  /// A target's row slot, assigned under `once` on its first request.
+  struct RowSlot {
+    std::once_flag once;
+    int32_t slot = 0;
+  };
+
+  /// The target's row: its min(kRowLength, P) nearest POIs (index ids) in
+  /// ascending (HaversineKm, id) order, built on first use.
+  std::span<const int32_t> Row(int64_t target) const;
+
   const data::Dataset& dataset_;
   geo::SpatialGridIndex index_;  // over POIs 1..P at index id poi-1
+  int64_t row_length_;           // min(kRowLength, P)
+  /// Slots by index id; rows are packed in first-use order into an
+  /// anonymous mapping that goes back to the OS with the generator.
+  std::unique_ptr<RowSlot[]> row_slots_;
+  std::unique_ptr<int32_t, Unmap> rows_;
+  mutable std::atomic<int32_t> rows_used_{0};
 };
 
 struct EvalOptions {

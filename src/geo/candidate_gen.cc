@@ -25,25 +25,19 @@ void CandidateGenerator::ForEachQuery(
   }
   // Contiguous ranges, one scratch each; every pool slot is written by
   // exactly one worker, so the output is thread-count independent.
+  // ParallelFor runs the ranges inline when called from inside a pool task.
   const int64_t chunk = (n + workers - 1) / workers;
-  auto run_range = [this, &query](int64_t slot, int64_t begin, int64_t end) {
+  auto run_range = [&](int64_t slot) {
     SpatialGridIndex::QueryScratch* scratch =
         scratch_[static_cast<size_t>(slot)].get();
-    for (int64_t i = begin; i < end; ++i) query(i, scratch);
+    const int64_t end = std::min(n, (slot + 1) * chunk);
+    for (int64_t i = slot * chunk; i < end; ++i) query(i, scratch);
   };
-  if (workers == 1) {
-    run_range(0, 0, n);
-    return;
+  if (pool == nullptr) {
+    run_range(0);
+  } else {
+    ParallelFor(*pool, workers, run_range);
   }
-  for (int64_t slot = 0; slot < workers; ++slot) {
-    const int64_t begin = slot * chunk;
-    const int64_t end = std::min(n, begin + chunk);
-    if (begin >= end) break;
-    pool->Submit([&run_range, slot, begin, end] {
-      run_range(slot, begin, end);
-    });
-  }
-  pool->Wait();
 }
 
 }  // namespace stisan::geo

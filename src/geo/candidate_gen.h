@@ -60,7 +60,8 @@ class CandidateGenerator {
   /// Batched stage one: fills (*pools)[i] with the pool for queries[i],
   /// keeping the points for which accept(i, id) is true, thread-pooled over
   /// contiguous query ranges of `pool` (pass GlobalPool(); nullptr runs
-  /// serially). `pools` is resized to the batch; existing vector capacity
+  /// serially). Safe to call from inside a task of `pool`, where the ranges
+  /// run inline. `pools` is resized to the batch; existing vector capacity
   /// is reused. Not reentrant: concurrent GenerateBatch calls on the same
   /// generator must be externally serialised (the per-range scratch
   /// buffers are shared state).
@@ -83,7 +84,8 @@ class CandidateGenerator {
 
  private:
   /// Runs query(i, scratch) for every i in [0, n), over contiguous ranges
-  /// of `pool` (serially when null) with one scratch per range.
+  /// of `pool` with one scratch per range, through ParallelFor (serially
+  /// when `pool` is null or the caller is a task of a pool).
   void ForEachQuery(
       int64_t n, ThreadPool* pool,
       const std::function<void(int64_t, SpatialGridIndex::QueryScratch*)>&

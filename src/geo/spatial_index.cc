@@ -1,6 +1,7 @@
 #include "geo/spatial_index.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
 
@@ -168,19 +169,46 @@ void SpatialGridIndex::WithinRadiusInto(const GeoPoint& query,
   const int64_t ring_lon = scan_cells(radius_km, cell_km_lon, cols_);
   const int64_t qr = CellRow(query.lat);
   const int64_t qc = CellCol(query.lon);
+  // Column ranges: the block around the query, plus the same longitudes
+  // across the antimeridian, which the grid does not wrap. Sorted and
+  // scanned without overlap, so no point is reported twice.
+  std::array<std::pair<int64_t, int64_t>, 3> col_ranges;
+  size_t num_ranges = 0;
+  col_ranges[num_ranges++] = {std::max<int64_t>(0, qc - ring_lon),
+                              std::min(cols_ - 1, qc + ring_lon)};
+  const double half_deg = static_cast<double>(ring_lon) * cell_deg_lon_;
+  if (ring_lon < cols_ && query.lon - half_deg < -180.0) {
+    col_ranges[num_ranges++] = {CellCol(query.lon - half_deg + 360.0),
+                                cols_ - 1};
+  }
+  if (ring_lon < cols_ && query.lon + half_deg > 180.0) {
+    col_ranges[num_ranges++] = {0, CellCol(query.lon + half_deg - 360.0)};
+  }
+  std::sort(col_ranges.begin(), col_ranges.begin() + num_ranges);
+  // The scan block is wider than the circle; a point whose trig-free key
+  // exceeds the radius's cutoff would fail `d <= radius_km` anyway, so it
+  // is skipped before the Haversine and the output is unchanged.
+  const internal::HaversineLowerBound bound(query, min_cos_lat_);
+  const double cutoff = internal::HaversineLowerBound::Cutoff(radius_km);
   const HaversineFrom distance(query);
   for (int64_t r = std::max<int64_t>(0, qr - ring_lat);
        r <= std::min(rows_ - 1, qr + ring_lat); ++r) {
-    for (int64_t c = std::max<int64_t>(0, qc - ring_lon);
-         c <= std::min(cols_ - 1, qc + ring_lon); ++c) {
-      const CellSpan span = Cell(r, c);
-      for (const int64_t* it = span.begin; it != span.end; ++it) {
-        const double d = distance.Km(points_[static_cast<size_t>(*it)]);
-        if (d <= radius_km) {
-          out->push_back(*it);
-          if (dist_km != nullptr) dist_km->push_back(d);
+    int64_t next_col = 0;  // first column of this row not scanned yet
+    for (size_t i = 0; i < num_ranges; ++i) {
+      for (int64_t c = std::max(next_col, col_ranges[i].first);
+           c <= col_ranges[i].second; ++c) {
+        const CellSpan span = Cell(r, c);
+        for (const int64_t* it = span.begin; it != span.end; ++it) {
+          const GeoPoint& p = points_[static_cast<size_t>(*it)];
+          if (bound.Key(p) > cutoff) continue;
+          const double d = distance.Km(p);
+          if (d <= radius_km) {
+            out->push_back(*it);
+            if (dist_km != nullptr) dist_km->push_back(d);
+          }
         }
       }
+      next_col = std::max(next_col, col_ranges[i].second + 1);
     }
   }
 }

@@ -1,14 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
+#include <string>
 #include <unordered_set>
+#include <utility>
 
 #include "data/preprocess.h"
 #include "util/rng.h"
 #include "data/synthetic.h"
 #include "eval/evaluator.h"
 #include "eval/metrics.h"
+#include "util/thread_pool.h"
 
 namespace stisan::eval {
 namespace {
@@ -322,6 +326,205 @@ TEST_F(CandidateTest, RandomScorerNearChance) {
   auto acc = Evaluate(random, split_.test, *gen_, {});
   // With 101 candidates, HR@10 under chance is ~0.099.
   EXPECT_NEAR(acc.HitRate(10), 0.099, 0.08);
+}
+
+// ---- Nearest-POI row memo ------------------------------------------------------
+//
+// Candidates answers from a memoised row of the target's 160 nearest POIs
+// and falls back to the filtered ring search when the row runs out. Both
+// oracles below skip the memo: the direct filtered KNearestInto and brute
+// force over (HaversineKm, poi) order.
+
+// [target, the k nearest non-excluded POIs by (HaversineKm, poi)].
+std::vector<int64_t> BruteCandidates(const data::Dataset& ds,
+                                     const data::EvalInstance& inst,
+                                     int64_t k) {
+  const std::unordered_set<int64_t> excluded(inst.visited.begin(),
+                                             inst.visited.end());
+  const geo::GeoPoint& q = ds.poi_location(inst.target);
+  std::vector<std::pair<double, int64_t>> all;
+  for (int64_t p = 1; p <= ds.num_pois(); ++p) {
+    if (p == inst.target || excluded.contains(p)) continue;
+    all.emplace_back(geo::HaversineKm(q, ds.poi_location(p)), p);
+  }
+  std::sort(all.begin(), all.end());
+  std::vector<int64_t> out = {inst.target};
+  for (int64_t i = 0; i < k && i < static_cast<int64_t>(all.size()); ++i) {
+    out.push_back(all[static_cast<size_t>(i)].second);
+  }
+  return out;
+}
+
+// The same list from one filtered ring search, as Candidates computed it
+// before rows were memoised.
+std::vector<int64_t> DirectCandidates(const CandidateGenerator& gen,
+                                      const data::Dataset& ds,
+                                      const data::EvalInstance& inst,
+                                      int64_t k) {
+  std::vector<int64_t> excluded = {inst.target - 1};
+  for (int64_t poi : inst.visited) excluded.push_back(poi - 1);
+  std::sort(excluded.begin(), excluded.end());
+  geo::SpatialGridIndex::QueryScratch scratch;
+  std::vector<int64_t> nearest;
+  gen.index().KNearestInto(ds.poi_location(inst.target), k,
+                           geo::RejectSortedIds{excluded}, &scratch,
+                           &nearest);
+  std::vector<int64_t> out = {inst.target};
+  for (int64_t id : nearest) out.push_back(id + 1);
+  return out;
+}
+
+constexpr int64_t kMemoBudgets[] = {0, 1, 99, 160, 210};
+
+// Every budget, each asked twice (the second call reads the memo), against
+// both oracles.
+void ExpectMatchesOracles(const CandidateGenerator& gen,
+                          const data::Dataset& ds,
+                          const data::EvalInstance& inst,
+                          const std::string& context) {
+  for (int64_t k : kMemoBudgets) {
+    const auto brute = BruteCandidates(ds, inst, k);
+    EXPECT_EQ(DirectCandidates(gen, ds, inst, k), brute)
+        << context << " k=" << k;
+    EXPECT_EQ(gen.Candidates(inst, k), brute) << context << " k=" << k;
+    EXPECT_EQ(gen.Candidates(inst, k), brute)
+        << context << " k=" << k << " (repeat)";
+  }
+}
+
+// Every prefix of the first users' sequences: targets recur within and
+// across users, with growing visited sets.
+std::vector<data::EvalInstance> PrefixInstances(const data::Dataset& ds,
+                                                size_t users) {
+  std::vector<data::EvalInstance> out;
+  for (size_t u = 0; u < std::min(users, ds.user_seqs.size()); ++u) {
+    const auto& seq = ds.user_seqs[u];
+    data::EvalInstance inst;
+    for (size_t j = 0; j + 1 < seq.size(); ++j) {
+      inst.visited.push_back(seq[j].poi);
+      inst.target = seq[j + 1].poi;
+      out.push_back(inst);
+    }
+  }
+  return out;
+}
+
+TEST_F(CandidateTest, MemoMatchesOraclesOnRepeatedTargets) {
+  const auto instances = PrefixInstances(ds_, 6);
+  std::unordered_set<int64_t> targets;
+  for (const auto& inst : instances) targets.insert(inst.target);
+  ASSERT_LT(targets.size(), instances.size()) << "no target repeats";
+  for (size_t i = 0; i < instances.size(); ++i) {
+    ExpectMatchesOracles(*gen_, ds_, instances[i],
+                         "instance " + std::to_string(i));
+  }
+}
+
+TEST_F(CandidateTest, MemoFallsBackWhenExclusionsExhaustTheRow) {
+  // Visit the target's nearest 150 POIs: its 160-long row then holds at
+  // most 9 acceptable ids, fewer than 99, so the ring search answers.
+  for (int64_t target : {int64_t{1}, int64_t{17}, ds_.num_pois()}) {
+    data::EvalInstance inst;
+    inst.target = target;
+    const auto nearest = BruteCandidates(ds_, inst, 150);
+    inst.visited.assign(nearest.begin() + 1, nearest.end());
+    ExpectMatchesOracles(*gen_, ds_, inst,
+                         "exhausted target " + std::to_string(target));
+    // And the same target without exclusions still reads its row.
+    inst.visited.clear();
+    ExpectMatchesOracles(*gen_, ds_, inst,
+                         "plain target " + std::to_string(target));
+  }
+}
+
+// A dataset of `n` POIs (entry 0 is the padding POI) and no users.
+data::Dataset PoiOnlyDataset(std::vector<geo::GeoPoint> pois) {
+  data::Dataset ds;
+  ds.name = "pois";
+  ds.poi_coords.push_back({0.0, 0.0});
+  ds.poi_coords.insert(ds.poi_coords.end(), pois.begin(), pois.end());
+  return ds;
+}
+
+TEST(CandidateMemoTest, PoiSetSmallerThanTheRow) {
+  Rng rng(7);
+  std::vector<geo::GeoPoint> pois;
+  for (int i = 0; i < 50; ++i) {
+    pois.push_back(geo::OffsetKm({40.7, -74.0}, rng.Normal(0, 2.0),
+                                 rng.Normal(0, 2.0)));
+  }
+  const data::Dataset ds = PoiOnlyDataset(pois);
+  const CandidateGenerator gen(ds);
+  for (int64_t target = 1; target <= ds.num_pois(); ++target) {
+    data::EvalInstance inst;
+    inst.target = target;
+    inst.visited = {target % 50 + 1, (target * 7) % 50 + 1};
+    ExpectMatchesOracles(gen, ds, inst, "target " + std::to_string(target));
+  }
+}
+
+TEST(CandidateMemoTest, EquidistantTiesBreakByPoi) {
+  // Four copies of every point of a dyadic lattice mirrored across the
+  // query meridian: distances tie exactly in groups, and the 160-long row
+  // ends inside a tie group.
+  const double step = 1.0 / 256.0;
+  std::vector<geo::GeoPoint> pois;
+  for (int copy = 0; copy < 4; ++copy) {
+    for (int i = -3; i <= 3; ++i) {
+      for (int j = 0; j <= 5; ++j) {
+        pois.push_back({10.0 + step * i, step * j});
+        if (j > 0) pois.push_back({10.0 + step * i, -step * j});
+      }
+    }
+  }
+  ASSERT_GT(pois.size(), 160u);
+  const data::Dataset ds = PoiOnlyDataset(pois);
+  const CandidateGenerator gen(ds);
+  for (int64_t target : {int64_t{1}, int64_t{4}, int64_t{45}, int64_t{200}}) {
+    data::EvalInstance inst;
+    inst.target = target;
+    ExpectMatchesOracles(gen, ds, inst, "target " + std::to_string(target));
+    inst.visited = {target + 1, target + 2, 3, 90};
+    ExpectMatchesOracles(gen, ds, inst,
+                         "visited target " + std::to_string(target));
+  }
+}
+
+TEST_F(CandidateTest, MemoConcurrentRepeatedTargetsAtAnyPoolSize) {
+  // Each instance appears eight times, interleaved, so concurrent calls
+  // race to build the same rows; every list must equal the serial answer.
+  const auto base = PrefixInstances(ds_, 3);
+  std::vector<data::EvalInstance> instances;
+  for (int rep = 0; rep < 8; ++rep) {
+    instances.insert(instances.end(), base.begin(), base.end());
+  }
+  std::vector<std::vector<int64_t>> serial;
+  for (const auto& inst : instances) {
+    serial.push_back(DirectCandidates(*gen_, ds_, inst, 99));
+  }
+  for (int64_t threads : {1, 2, 4}) {
+    ThreadPool pool(threads);
+    const CandidateGenerator gen(ds_);
+    std::vector<std::vector<int64_t>> out(instances.size());
+    ParallelFor(pool, static_cast<int64_t>(instances.size()),
+                [&](int64_t i) {
+                  out[static_cast<size_t>(i)] =
+                      gen.Candidates(instances[static_cast<size_t>(i)], 99);
+                });
+    EXPECT_EQ(out, serial) << "threads=" << threads;
+  }
+}
+
+TEST(CandidateMemoDeathTest, TargetOutsidePoiRangeAborts) {
+  const data::Dataset ds = PoiOnlyDataset(
+      {{40.0, -74.0}, {40.01, -74.0}, {40.02, -74.0}});
+  const CandidateGenerator gen(ds);
+  data::EvalInstance inst;
+  for (int64_t target : {int64_t{0}, int64_t{-2}, int64_t{4}}) {
+    inst.target = target;
+    EXPECT_DEATH(gen.Candidates(inst, 2), "outside \\[1, 3\\]")
+        << "target=" << target;
+  }
 }
 
 }  // namespace

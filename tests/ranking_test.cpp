@@ -2,7 +2,9 @@
 //
 //  - Property tests: SpatialGridIndex KNearest / WithinRadius against
 //    brute force over fuzzed point sets (clustered, collinear,
-//    high-latitude, sparse-filter, k > accepted count).
+//    high-latitude, sparse-filter, k > accepted count); WithinRadius also
+//    over the oracle's edge sets (antimeridian, latitudes above 85
+//    degrees), with its distances bit-equal to HaversineKm.
 //  - Id-for-id oracle: KNearest returns the first k accepted points in
 //    ascending (HaversineKm, id) order at every cell size, over duplicate
 //    coordinates, the antimeridian, polar latitudes and queries outside
@@ -16,7 +18,7 @@
 //  - Sparse cell storage: a continent-span extent must not materialise
 //    rows x cols cells.
 //  - geo::CandidateGenerator: batch = per-query results, thread-count
-//    independent.
+//    independent, and a batch issued from inside a pool task returns.
 //  - eval: FullRankingEvaluate chunk_size = 1 (formerly rejected by an
 //    off-by-one CHECK), BatchScorer/Scorer overload parity, and
 //    FullRanking-vs-PrunedRanking rank parity when the pool provably
@@ -44,6 +46,7 @@
 #include "serve/service.h"
 #include "tensor/kernels.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace stisan {
 namespace {
@@ -369,6 +372,26 @@ TEST(KnnRegressionTest, HighLatitudeEarlyExitBound) {
   ExpectSameByDistance(pts, query, all, brute, "full sweep");
 }
 
+// WithinRadiusInto against brute force: the same ids, and every dist_km
+// entry bit-equal to HaversineKm(q, point).
+void ExpectRadiusMatchesOracle(const SpatialGridIndex& index,
+                               const std::vector<GeoPoint>& pts,
+                               const GeoPoint& q, double r,
+                               const std::string& context) {
+  std::vector<int64_t> ids;
+  std::vector<double> dist;
+  index.WithinRadiusInto(q, r, &ids, &dist);
+  ASSERT_EQ(dist.size(), ids.size()) << context;
+  std::vector<std::pair<int64_t, double>> got, want;
+  for (size_t i = 0; i < ids.size(); ++i) got.emplace_back(ids[i], dist[i]);
+  for (size_t i = 0; i < pts.size(); ++i) {
+    const double d = HaversineKm(q, pts[i]);
+    if (d <= r) want.emplace_back(static_cast<int64_t>(i), d);
+  }
+  std::sort(got.begin(), got.end());
+  EXPECT_EQ(got, want) << context;
+}
+
 TEST(RadiusPropertyTest, MatchesBruteForceOverFuzzedSets) {
   for (int config = 0; config < 4; ++config) {
     Rng rng(77 + static_cast<uint64_t>(config));
@@ -382,6 +405,24 @@ TEST(RadiusPropertyTest, MatchesBruteForceOverFuzzedSets) {
         const std::set<int64_t> got(fast.begin(), fast.end());
         EXPECT_EQ(got, BruteRadius(pts, q, r))
             << "config=" << config << " r=" << r;
+        ExpectRadiusMatchesOracle(index, pts, q, r,
+                                  "config=" + std::to_string(config) +
+                                      " r=" + std::to_string(r));
+      }
+    }
+  }
+  // The oracle's edge sets: ties, the antimeridian, latitudes above 85
+  // degrees and queries outside the bounding box, at every cell size.
+  for (const OracleSet& set : MakeOracleSets()) {
+    for (double cell_km : {0.5, 2.0, 8.0}) {
+      SpatialGridIndex index(set.points, cell_km);
+      for (size_t qi = 0; qi < set.queries.size(); ++qi) {
+        for (double r : {0.5, 3.0, 20.0, 150.0}) {
+          ExpectRadiusMatchesOracle(
+              index, set.points, set.queries[qi], r,
+              set.name + " cell=" + std::to_string(cell_km) +
+                  " q=" + std::to_string(qi) + " r=" + std::to_string(r));
+        }
       }
     }
   }
@@ -500,6 +541,31 @@ TEST(CandidateGenTest, BatchMatchesPerQueryAndIsThreadCountIndependent) {
                  &scratch, &one);
     EXPECT_EQ(serial[i], one) << "query " << i;
   }
+}
+
+TEST(CandidateGenTest, BatchFromInsideAPoolTaskReturns) {
+  // A batch issued from a task of the pool it is given runs its ranges
+  // inline; waiting on the pool from there would never return.
+  Rng rng(22);
+  const auto pts = MakePoints(0, rng);
+  SpatialGridIndex index(pts, 1.0);
+  geo::CandidatePoolOptions options;
+  options.pool_size = 40;
+  geo::CandidateGenerator gen(index, options);
+  std::vector<GeoPoint> queries;
+  for (int i = 0; i < 29; ++i) {
+    queries.push_back(pts[rng.UniformInt(static_cast<uint64_t>(pts.size()))]);
+  }
+  const auto accept =
+      [](int64_t qi, int64_t id) { return (id + 2 * qi) % 5 != 0; };
+  std::vector<std::vector<int64_t>> serial;
+  gen.GenerateBatch(queries, accept, nullptr, &serial);
+
+  ThreadPool pool(2);
+  std::vector<std::vector<int64_t>> nested;
+  pool.Submit([&] { gen.GenerateBatch(queries, accept, &pool, &nested); });
+  pool.Wait();
+  EXPECT_EQ(nested, serial);
 }
 
 TEST(CandidateGenTest, RadiusModeFiltersAndMatchesIndex) {

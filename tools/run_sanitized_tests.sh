@@ -34,8 +34,9 @@ for preset in "${presets[@]}"; do
     # The tsan test preset already covers its whole scope (serve|obs|pool):
     # worker-thread handoffs, admission blocking/shedding, shutdown
     # promise sweeps, the lock-free metrics registry, nested ParallelFor,
-    # the parallel synthetic generator and the KNN negative sampler build
-    # at pool sizes {1, 2, 4}. The
+    # the parallel synthetic generator, the KNN negative sampler build and
+    # eval::CandidateGenerator's once-per-target row memo under concurrent
+    # requests, at pool sizes {1, 2, 4}. The
     # remaining gates are memory-safety sweeps; skip them under TSan.
     continue
   fi
